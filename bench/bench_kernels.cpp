@@ -8,7 +8,8 @@
 // path; --backend <name> restricts the sweep to one backend (--backend all
 // is the default).  A Stopwatch-based summary table reports per-backend
 // GiB/s, TSC-based bytes/cycle and the speedup over scalar; a second table
-// compares naive vs compiled schedule execution (codes/schedule_opt.h).
+// reports compiled encode GiB/s and each encode program's XOR passes before
+// and after the schedule compiler (codes/schedule_opt.h).
 // With --json the tables (plus the obs registry, including the
 // kernels.bytes.<backend> counters) land in BENCH_kernels.json.
 // --summary-only skips the google-benchmark pass and prints just the tables.
@@ -30,9 +31,9 @@
 #include "codes/array_codes.h"
 #include "codes/crs_code.h"
 #include "codes/rs_code.h"
+#include "codes/schedule_opt.h"
 #include "gf/gf256.h"
 #include "kernels/dispatch.h"
-#include "xorblk/xor_kernels.h"
 
 namespace {
 
@@ -52,7 +53,7 @@ void BM_XorAcc(benchmark::State& state, kernels::Backend backend) {
   Rng rng(1);
   fill_random(src.data(), n, rng);
   for (auto _ : state) {
-    xorblk::xor_acc(dst.data(), src.data(), n);
+    kernels::xor_acc(dst.data(), src.data(), n);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -73,7 +74,7 @@ void BM_XorGather(benchmark::State& state, kernels::Backend backend) {
   }
   AlignedBuffer dst(n);
   for (auto _ : state) {
-    xorblk::xor_gather(dst.data(), ptrs, n);
+    kernels::xor_gather(dst.data(), ptrs, n);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -267,7 +268,7 @@ void print_backend_summary() {
   for (const kernels::Backend b : g_backends) {
     kernels::BackendGuard guard(b);
     const auto mul_op = [&] { gf::mul_region(dst.data(), src.data(), kN, 0x53); };
-    const auto xacc_op = [&] { xorblk::xor_acc(dst.data(), src.data(), kN); };
+    const auto xacc_op = [&] { kernels::xor_acc(dst.data(), src.data(), kN); };
     const double mul = gib_per_sec(mul_op, kN);
     const double mul_bc = bytes_per_cycle(mul_op, kN);
     const double mul_acc = gib_per_sec(
@@ -275,7 +276,7 @@ void print_backend_summary() {
     const double xacc = gib_per_sec(xacc_op, kN);
     const double xacc_bc = bytes_per_cycle(xacc_op, kN);
     const double gath = gib_per_sec(
-        [&] { xorblk::xor_gather(dst.data(), ptrs, kN); },
+        [&] { kernels::xor_gather(dst.data(), ptrs, kN); },
         kN * kGatherSources);
     if (b == kernels::Backend::kScalar) scalar_mul = mul;
     const std::string speedup =
@@ -287,8 +288,9 @@ void print_backend_summary() {
   }
 }
 
-// Naive vs compiled schedule execution (codes/schedule_opt.h) on the
-// XOR-heavy code families the CSE pass targets, under the default backend.
+// Compiled encode throughput (codes/schedule_opt.h) on the XOR-heavy code
+// families the CSE pass targets, under the default backend, with each
+// encode program's XOR passes before -> after compilation.
 void print_schedule_summary() {
   struct Entry {
     const char* name;
@@ -299,23 +301,20 @@ void print_schedule_summary() {
       {"STAR(11,3)", codes::make_star(11, 3)},
       {"EVENODD(17)", codes::make_evenodd(17)},
   };
-  bench::print_header("schedule execution: encode GiB/s, naive vs compiled");
-  bench::print_row({"code", "naive", "compiled", "speedup"});
+  bench::print_header("schedule execution: compiled encode GiB/s, XOR passes");
+  bench::print_row({"code", "encode_gib_s", "naive_xors", "compiled_xors"});
   for (const Entry& e : entries) {
+    std::vector<int> parities;
+    for (int p = e.code->data_nodes(); p < e.code->total_nodes(); ++p) {
+      parities.push_back(p);
+    }
+    const auto prog =
+        codes::compile_schedule(e.code->encode_statements(parities));
     bench::BaseStripe stripe(e.code, std::size_t{1} << 22);
-    const auto measure = [&](bool opt) {
-      e.code->set_schedule_opt_enabled(opt);
-      const double t = bench::time_op([&] { stripe.encode(); }, 5,
-                                      /*warmup=*/1);
-      return t > 0 ? stripe.data_gib() / t : -1.0;
-    };
-    const double naive = measure(false);
-    const double compiled = measure(true);
-    e.code->set_schedule_opt_enabled(true);
-    const std::string speedup =
-        (naive > 0 && compiled > 0) ? bench::fmt(compiled / naive, 2) + "x" : "/";
-    bench::print_row({e.name, bench::fmt(naive, 2), bench::fmt(compiled, 2),
-                      speedup});
+    const double t = bench::time_op([&] { stripe.encode(); }, 5, /*warmup=*/1);
+    bench::print_row({e.name, bench::fmt(t > 0 ? stripe.data_gib() / t : -1.0, 2),
+                      std::to_string(prog->naive_xors),
+                      std::to_string(prog->compiled_xors)});
   }
 }
 
@@ -325,7 +324,7 @@ void print_schedule_summary() {
 // --summary-only, --backend <name|all>) before benchmark::Initialize (which
 // rejects unknown flags), prints the per-backend summary tables, and in
 // --json mode dumps tables + the obs registry (kernels.bytes.<backend>,
-// xorblk byte counters, solver spans, ...) accumulated across the run.
+// schedule counters, solver spans, ...) accumulated across the run.
 int main(int argc, char** argv) {
   approx::bench::bench_init(argc, argv, "kernels");
   bool summary_only = false;

@@ -1,44 +1,17 @@
 #include "codes/linear_code.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <queue>
 #include <set>
-#include <string_view>
 
 #include "codes/schedule_opt.h"
 #include "common/error.h"
 #include "gf/gf256.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "xorblk/xor_kernels.h"
 
 namespace approx::codes {
-
-namespace {
-
-// Process-wide default for the schedule compiler.  APPROX_SCHEDULE=naive
-// opts out (ablation / bisection); unknown values warn and keep the default
-// so typos are visible rather than silently changing the execution path.
-bool schedule_opt_default() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("APPROX_SCHEDULE");
-    if (env == nullptr || *env == '\0') return true;
-    const std::string_view v(env);
-    if (v == "naive") return false;
-    if (v == "compiled") return true;
-    std::fprintf(stderr,
-                 "approx: APPROX_SCHEDULE=%s is not a known mode "
-                 "(naive|compiled); using compiled\n",
-                 env);
-    return true;
-  }();
-  return enabled;
-}
-
-}  // namespace
 
 LinearCode::LinearCode(std::string name, int k, int m, int rows,
                        std::vector<std::vector<Term>> parity_elems,
@@ -64,7 +37,6 @@ LinearCode::LinearCode(std::string name, int k, int m, int rows,
     }
     total_terms_ += elem.size();
   }
-  schedule_opt_enabled_ = schedule_opt_default();
 }
 
 const std::vector<LinearCode::Term>& LinearCode::parity_terms(int parity_node,
@@ -83,21 +55,6 @@ void LinearCode::encode(std::span<const NodeView> nodes) const {
   encode_parity_nodes(nodes, all);
 }
 
-const std::vector<LinearCode::EncodeElem>& LinearCode::encode_plan() const {
-  std::call_once(encode_plan_once_, [this] {
-    encode_plan_.resize(parity_elems_.size());
-    for (std::size_t pe = 0; pe < parity_elems_.size(); ++pe) {
-      auto& elem = encode_plan_[pe];
-      elem.terms.reserve(parity_elems_[pe].size());
-      for (const auto& term : parity_elems_[pe]) {
-        elem.terms.push_back({term.info / rows_, term.info % rows_, term.coeff});
-        if (term.coeff != 1) elem.all_xor = false;
-      }
-    }
-  });
-  return encode_plan_;
-}
-
 void LinearCode::encode_parity_nodes(std::span<const NodeView> nodes,
                                      std::span<const int> parity_nodes) const {
   APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
@@ -107,46 +64,25 @@ void LinearCode::encode_parity_nodes(std::span<const NodeView> nodes,
     APPROX_REQUIRE(v.len == len, "all node views must agree on element length");
   }
   APPROX_OBS_SPAN(span, "codes.encode");
-  static obs::Counter& xor_elems =
-      obs::registry().counter("codes.encode.path.xor");
-  static obs::Counter& gf_elems = obs::registry().counter("codes.encode.path.gf");
-  static obs::Counter& compiled_encodes =
-      obs::registry().counter("codes.encode.path.compiled");
-  if (schedule_opt_enabled()) {
-    compiled_encodes.add();
-    run_program(*encode_program(parity_nodes), nodes, len);
-    return;
-  }
-  const auto& plan = encode_plan();
-  std::vector<const std::uint8_t*> gather_srcs;
+  run_program(*encode_program(parity_nodes), nodes, len);
+}
+
+std::vector<RepairPlan::Target> LinearCode::encode_statements(
+    std::span<const int> parity_nodes) const {
+  std::vector<RepairPlan::Target> stmts;
+  stmts.reserve(parity_nodes.size() * static_cast<std::size_t>(rows_));
   for (const int p : parity_nodes) {
-    APPROX_REQUIRE(p >= k_ && p < total_nodes(), "not a parity node");
     for (int row = 0; row < rows_; ++row) {
-      std::uint8_t* dst = nodes[static_cast<std::size_t>(p)].elem(row);
-      const auto& elem = plan[static_cast<std::size_t>(p - k_) *
-                                  static_cast<std::size_t>(rows_) +
-                              static_cast<std::size_t>(row)];
-      if (elem.all_xor) {
-        // XOR fast path: multi-source gather writes dst once per chunk.
-        xor_elems.add();
-        gather_srcs.clear();
-        gather_srcs.reserve(elem.terms.size());
-        for (const auto& term : elem.terms) {
-          gather_srcs.push_back(
-              nodes[static_cast<std::size_t>(term.node)].elem(term.row));
-        }
-        xorblk::xor_gather(dst, gather_srcs, len);
-        continue;
+      RepairPlan::Target t;
+      t.elem = {p, row};
+      for (const auto& term : parity_terms(p, row)) {
+        t.sources.push_back(
+            {ElemRef{term.info / rows_, term.info % rows_}, term.coeff});
       }
-      gf_elems.add();
-      std::memset(dst, 0, len);
-      for (const auto& term : elem.terms) {
-        gf::mul_acc_region(dst,
-                           nodes[static_cast<std::size_t>(term.node)].elem(term.row),
-                           len, term.coeff);
-      }
+      stmts.push_back(std::move(t));
     }
   }
+  return stmts;
 }
 
 std::shared_ptr<const XorProgram> LinearCode::encode_program(
@@ -157,25 +93,7 @@ std::shared_ptr<const XorProgram> LinearCode::encode_program(
     auto it = encode_prog_cache_.find(key);
     if (it != encode_prog_cache_.end()) return it->second;
   }
-  const auto& plan = encode_plan();
-  std::vector<RepairPlan::Target> stmts;
-  stmts.reserve(key.size() * static_cast<std::size_t>(rows_));
-  for (const int p : key) {
-    APPROX_REQUIRE(p >= k_ && p < total_nodes(), "not a parity node");
-    for (int row = 0; row < rows_; ++row) {
-      const auto& elem = plan[static_cast<std::size_t>(p - k_) *
-                                  static_cast<std::size_t>(rows_) +
-                              static_cast<std::size_t>(row)];
-      RepairPlan::Target t;
-      t.elem = {p, row};
-      t.sources.reserve(elem.terms.size());
-      for (const auto& term : elem.terms) {
-        t.sources.push_back({ElemRef{term.node, term.row}, term.coeff});
-      }
-      stmts.push_back(std::move(t));
-    }
-  }
-  auto prog = compile_schedule(stmts);
+  auto prog = compile_schedule(encode_statements(key));
   std::lock_guard<std::mutex> lock(cache_mu_);
   return encode_prog_cache_.emplace(std::move(key), std::move(prog))
       .first->second;
@@ -419,46 +337,6 @@ bool LinearCode::can_repair(std::span<const int> erased_nodes) const {
   return plan_repair(erased_nodes) != nullptr;
 }
 
-namespace {
-
-// Rebuild one schedule target.  When every coefficient is 1 (all targets of
-// binary codes, and coincidentally-XOR rows of GF codes) the whole
-// combination runs as one multi-source XOR gather, which writes dst once
-// per chunk instead of once per source; otherwise memset + GF
-// multiply-accumulate per source.  `gather_srcs` is caller-owned scratch so
-// plan replay over thousands of stripes does not reallocate per target.
-void rebuild_target(const RepairPlan::Target& target,
-                    std::span<const NodeView> nodes, std::size_t len,
-                    std::vector<const std::uint8_t*>& gather_srcs) {
-  std::uint8_t* dst =
-      nodes[static_cast<std::size_t>(target.elem.node)].elem(target.elem.row);
-  bool all_xor = true;
-  for (const auto& src : target.sources) {
-    if (src.coeff != 1) {
-      all_xor = false;
-      break;
-    }
-  }
-  if (all_xor) {
-    gather_srcs.clear();
-    gather_srcs.reserve(target.sources.size());
-    for (const auto& src : target.sources) {
-      gather_srcs.push_back(
-          nodes[static_cast<std::size_t>(src.elem.node)].elem(src.elem.row));
-    }
-    xorblk::xor_gather(dst, gather_srcs, len);
-    return;
-  }
-  std::memset(dst, 0, len);
-  for (const auto& src : target.sources) {
-    gf::mul_acc_region(dst,
-                       nodes[static_cast<std::size_t>(src.elem.node)].elem(src.elem.row),
-                       len, src.coeff);
-  }
-}
-
-}  // namespace
-
 void LinearCode::apply(const RepairPlan& plan,
                        std::span<const NodeView> nodes) const {
   APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
@@ -471,19 +349,7 @@ void LinearCode::apply(const RepairPlan& plan,
   for (const auto& v : nodes) {
     APPROX_REQUIRE(v.len == len, "all node views must agree on element length");
   }
-  if (schedule_opt_enabled()) {
-    static obs::Counter& compiled_applies =
-        obs::registry().counter("codes.repair.path.compiled");
-    compiled_applies.add();
-    std::call_once(plan.compile_once,
-                   [&] { plan.compiled = compile_schedule(plan.targets); });
-    run_program(*plan.compiled, nodes, len);
-    return;
-  }
-  std::vector<const std::uint8_t*> gather_srcs;
-  for (const auto& target : plan.targets) {
-    rebuild_target(target, nodes, len, gather_srcs);
-  }
+  run_program(plan_program(plan), nodes, len);
 }
 
 int LinearCode::apply_for_element(const RepairPlan& plan,
@@ -491,46 +357,47 @@ int LinearCode::apply_for_element(const RepairPlan& plan,
                                   ElemRef elem) const {
   APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
                  "apply needs one view per node");
-  // Locate the target and collect its transitive dependencies on other
-  // rebuilt elements (sources living on erased nodes).
-  std::vector<bool> is_erased(static_cast<std::size_t>(total_nodes()), false);
-  for (const int e : plan.erased) is_erased[static_cast<std::size_t>(e)] = true;
+  const auto is_target = [&](const RepairPlan::Target& t) { return t.elem == elem; };
+  if (std::none_of(plan.targets.begin(), plan.targets.end(), is_target)) return 0;
 
-  int wanted_idx = -1;
-  for (std::size_t t = 0; t < plan.targets.size(); ++t) {
-    if (plan.targets[t].elem == elem) {
-      wanted_idx = static_cast<int>(t);
-      break;
-    }
-  }
-  if (wanted_idx < 0) return 0;
+  const XorProgram& prog = plan_program(plan);
+  const auto& stmts = prog.stmts;
+  const auto writes = [](const XorProgram::Stmt& s, const XorProgram::Ref& r) {
+    return s.dst.node == r.node && s.dst.row == r.row;
+  };
+  std::size_t wanted = static_cast<std::size_t>(prog.temp_count);
+  while (!writes(stmts[wanted], {elem.node, elem.row})) ++wanted;
 
-  std::vector<bool> needed(plan.targets.size(), false);
-  // Walk backwards: a target executed later can only depend on earlier
-  // targets, so one reverse sweep closes the dependency set.
-  needed[static_cast<std::size_t>(wanted_idx)] = true;
-  for (int t = wanted_idx; t >= 0; --t) {
-    if (!needed[static_cast<std::size_t>(t)]) continue;
-    for (const auto& src : plan.targets[static_cast<std::size_t>(t)].sources) {
-      if (!is_erased[static_cast<std::size_t>(src.elem.node)]) continue;
-      for (int d = 0; d < t; ++d) {
-        if (plan.targets[static_cast<std::size_t>(d)].elem == src.elem) {
-          needed[static_cast<std::size_t>(d)] = true;
-          break;
-        }
+  // Mark the wanted statement and walk backwards: a statement reads only
+  // temporaries (temp t is stmts[t]) and targets rebuilt by earlier
+  // statements, so one reverse sweep closes the dependency set.  The marks
+  // are then compacted in place into the ascending slice.
+  std::vector<std::uint32_t> slice(wanted + 1, 0);
+  slice[wanted] = 1;
+  for (std::size_t t = wanted + 1; t-- > 0;) {
+    if (slice[t] == 0) continue;
+    for (const auto& src : stmts[t].sources) {
+      if (src.ref.node == XorProgram::kTempNode) {
+        slice[static_cast<std::size_t>(src.ref.row)] = 1;
+      } else if (std::binary_search(plan.erased.begin(), plan.erased.end(),
+                                    src.ref.node)) {
+        std::size_t d = static_cast<std::size_t>(prog.temp_count);
+        while (d < t && !writes(stmts[d], src.ref)) ++d;
+        APPROX_CHECK(d < t, "slice source is not rebuilt by an earlier statement");
+        slice[d] = 1;
       }
     }
   }
-
-  const std::size_t len = nodes[0].len;
-  int executed = 0;
-  std::vector<const std::uint8_t*> gather_srcs;
-  for (std::size_t t = 0; t < plan.targets.size(); ++t) {
-    if (!needed[t]) continue;
-    rebuild_target(plan.targets[t], nodes, len, gather_srcs);
-    ++executed;
+  std::size_t n = 0;
+  int targets = 0;
+  for (std::size_t t = 0; t <= wanted; ++t) {
+    if (slice[t] == 0) continue;
+    if (t >= static_cast<std::size_t>(prog.temp_count)) ++targets;
+    slice[n++] = static_cast<std::uint32_t>(t);
   }
-  return executed;
+  slice.resize(n);
+  run_program(prog, nodes, nodes[0].len, slice);
+  return targets;
 }
 
 bool LinearCode::repair(std::span<const NodeView> nodes,
@@ -576,35 +443,25 @@ LinearCode::ScrubResult LinearCode::scrub(std::span<const NodeView> nodes,
   static obs::Counter& scrub_mismatches =
       obs::registry().counter("codes.scrub.mismatches");
   const std::size_t len = nodes[0].len;
+  // Re-encode the listed parities with their views pointed at scratch, then
+  // compare against the stored elements.
+  const std::size_t node_bytes = static_cast<std::size_t>(rows_) * len;
+  std::vector<std::uint8_t> expected(parity_nodes.size() * node_bytes);
+  std::vector<NodeView> views(nodes.begin(), nodes.end());
+  for (std::size_t i = 0; i < parity_nodes.size(); ++i) {
+    APPROX_REQUIRE(parity_nodes[i] >= k_ && parity_nodes[i] < total_nodes(),
+                   "not a parity node");
+    views[static_cast<std::size_t>(parity_nodes[i])] =
+        NodeView{expected.data() + i * node_bytes, len, len};
+  }
+  run_program(*encode_program(parity_nodes), views, len);
   ScrubResult result;
-  const auto& plan = encode_plan();
-  std::vector<std::uint8_t> expected(len);
-  std::vector<const std::uint8_t*> gather_srcs;
   for (const int p : parity_nodes) {
-    APPROX_REQUIRE(p >= k_ && p < total_nodes(), "not a parity node");
+    const NodeView& stored = nodes[static_cast<std::size_t>(p)];
     for (int row = 0; row < rows_; ++row) {
-      const auto& elem = plan[static_cast<std::size_t>(p - k_) *
-                                  static_cast<std::size_t>(rows_) +
-                              static_cast<std::size_t>(row)];
-      if (elem.all_xor && !elem.terms.empty()) {
-        gather_srcs.clear();
-        gather_srcs.reserve(elem.terms.size());
-        for (const auto& term : elem.terms) {
-          gather_srcs.push_back(
-              nodes[static_cast<std::size_t>(term.node)].elem(term.row));
-        }
-        xorblk::xor_gather(expected.data(), gather_srcs, len);
-      } else {
-        std::memset(expected.data(), 0, len);
-        for (const auto& term : elem.terms) {
-          gf::mul_acc_region(expected.data(),
-                             nodes[static_cast<std::size_t>(term.node)].elem(term.row),
-                             len, term.coeff);
-        }
-      }
       scrub_elems.add();
-      if (std::memcmp(expected.data(), nodes[static_cast<std::size_t>(p)].elem(row),
-                      len) != 0) {
+      if (std::memcmp(views[static_cast<std::size_t>(p)].elem(row),
+                      stored.elem(row), len) != 0) {
         scrub_mismatches.add();
         result.mismatched.push_back({p, row});
       }
@@ -732,16 +589,6 @@ void LinearCode::set_peeling_enabled(bool enabled) const {
     peeling_enabled_ = enabled;
     plan_cache_.clear();  // cached plans were built under the other mode
   }
-}
-
-void LinearCode::set_schedule_opt_enabled(bool enabled) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  schedule_opt_enabled_ = enabled;
-}
-
-bool LinearCode::schedule_opt_enabled() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return schedule_opt_enabled_;
 }
 
 }  // namespace approx::codes

@@ -8,11 +8,12 @@
 // are expanded into data terms at construction time, so parities never
 // reference other parities).
 //
-// Encoding streams the combination lists over strided NodeViews.  Repair of
+// Encoding runs the combination lists over strided NodeViews.  Repair of
 // an arbitrary erasure pattern is an exact linear solve (see solver.h) that
 // yields an XOR/GF *schedule*; schedules are cached per erasure pattern, so
 // repeated repairs of the same pattern pay elimination cost once — the same
-// design as Jerasure's bit-matrix scheduling.
+// design as Jerasure's bit-matrix scheduling.  Every encode, repair and
+// scrub executes as a compiled XOR program (schedule_opt.h).
 #pragma once
 
 #include <cstdint>
@@ -60,10 +61,9 @@ struct RepairPlan {
   std::size_t target_elements = 0;   // number of rebuilt elements
 
   // Compiled XOR program for `targets` (CSE + cache-blocked execution, see
-  // schedule_opt.h).  Filled lazily by the first compiled apply(), so
-  // feasibility probes (can_repair sweeps over every erasure pattern) never
-  // pay compilation; the naive per-target loop is the ablation path and
-  // stays byte-identical.
+  // schedule_opt.h).  Filled lazily by plan_program() on first execution,
+  // so feasibility probes (can_repair sweeps over every erasure pattern)
+  // never pay compilation.
   mutable std::once_flag compile_once;
   mutable std::shared_ptr<const XorProgram> compiled;
 };
@@ -101,6 +101,11 @@ class LinearCode {
   void encode_parity_nodes(std::span<const NodeView> nodes,
                            std::span<const int> parity_nodes) const;
 
+  // The statements encode_parity_nodes() compiles: one per element of the
+  // listed parity nodes, dst = that element, sources = its data terms.
+  std::vector<RepairPlan::Target> encode_statements(
+      std::span<const int> parity_nodes) const;
+
   // Exact decodability of an erasure pattern (node granularity).
   bool can_repair(std::span<const int> erased_nodes) const;
 
@@ -113,13 +118,12 @@ class LinearCode {
   // surviving element data must be present.
   void apply(const RepairPlan& plan, std::span<const NodeView> nodes) const;
 
-  // Execute only the slice of the schedule needed to rebuild `elem`
-  // (its target plus transitive dependencies on other rebuilt elements,
-  // in plan order).  Used by degraded reads, which decode one element
-  // instead of whole nodes.  Always runs the naive per-target loop: the
-  // compiled program is whole-plan, and re-slicing it buys nothing for the
-  // handful of targets a degraded read touches.  Returns the number of
-  // targets executed; 0 when `elem` is not a target of the plan.
+  // Execute only the slice of the plan's compiled program needed to
+  // rebuild `elem`: its own statement, the earlier targets it reads and the
+  // temporaries those statements read, in program order.  Used by degraded
+  // reads, which decode one element instead of whole nodes.  Returns the
+  // number of targets executed (temporaries not counted); 0 when `elem` is
+  // not a target of the plan.
   int apply_for_element(const RepairPlan& plan, std::span<const NodeView> nodes,
                         ElemRef elem) const;
 
@@ -186,25 +190,14 @@ class LinearCode {
   const std::vector<Term>& parity_terms(int parity_node, int row) const;
 
  private:
-  // Cached encode plan: the per-parity-element term lists resolved to
-  // (node, row) coordinates, with the all-XOR property precomputed.  Built
-  // once, lazily; every encode/scrub replay then runs straight into the
-  // kernel engine (multi-source XOR gather or GF multiply-accumulate)
-  // without re-deriving coordinates from info indices.
-  struct EncodeTerm {
-    int node;
-    int row;
-    std::uint8_t coeff;
-  };
-  struct EncodeElem {
-    std::vector<EncodeTerm> terms;
-    bool all_xor = true;  // every coefficient is 1
-  };
-  // Element (parity_node, row) lives at [(parity_node - k)*rows + row].
-  const std::vector<EncodeElem>& encode_plan() const;
-
   SparseRow element_row(ElemRef e) const;
   std::shared_ptr<const RepairPlan> compute_plan(const std::vector<int>& erased) const;
+
+  // Compiled program computing the listed parity nodes from the data,
+  // cached per parity-node list (bounded: one entry per distinct list
+  // callers use).
+  std::shared_ptr<const XorProgram> encode_program(
+      std::span<const int> parity_nodes) const;
 
   std::string name_;
   int k_;
@@ -214,11 +207,6 @@ class LinearCode {
   bool binary_;
   std::size_t total_terms_;
   std::vector<std::vector<Term>> parity_elems_;
-
-  // Compiled program for an encode_parity_nodes() call, cached per
-  // parity-node list (bounded: one entry per distinct list callers use).
-  std::shared_ptr<const XorProgram> encode_program(
-      std::span<const int> parity_nodes) const;
 
   mutable std::mutex cache_mu_;
   mutable std::map<std::vector<int>, std::shared_ptr<const RepairPlan>> plan_cache_;
@@ -232,9 +220,6 @@ class LinearCode {
   mutable std::once_flag update_index_once_;
   mutable std::vector<std::vector<std::pair<int, std::uint8_t>>> update_index_;
 
-  mutable std::once_flag encode_plan_once_;
-  mutable std::vector<EncodeElem> encode_plan_;
-
  public:
   // Benchmark hook (ablation): disable the schedule cache.
   void set_plan_cache_enabled(bool enabled) const;
@@ -243,15 +228,8 @@ class LinearCode {
   // is solved by Gaussian elimination alone (dense schedules).
   void set_peeling_enabled(bool enabled) const;
 
-  // Benchmark hook (ablation): bypass the compiled XOR programs so encode
-  // and apply run the naive per-element loops.  Process-wide default comes
-  // from APPROX_SCHEDULE (naive|compiled, default compiled).
-  void set_schedule_opt_enabled(bool enabled) const;
-  bool schedule_opt_enabled() const;
-
  private:
   mutable bool peeling_enabled_ = true;
-  mutable bool schedule_opt_enabled_ = true;
 };
 
 // Helpers shared by code constructions.

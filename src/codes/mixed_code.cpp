@@ -1,11 +1,11 @@
 #include "codes/mixed_code.h"
 
 #include <algorithm>
-#include <cstring>
 #include <queue>
 #include <set>
 
 #include "codes/primes.h"
+#include "codes/schedule_opt.h"
 #include "codes/solver.h"
 #include "common/error.h"
 #include "gf/gf256.h"
@@ -50,6 +50,21 @@ MixedCode::MixedCode(std::string name, int nodes, int rows,
       }
     }
   }
+  std::vector<RepairPlan::Target> stmts;
+  for (int n = 0; n < nodes_; ++n) {
+    for (int r = 0; r < rows_; ++r) {
+      const auto& e = element(n, r);
+      if (!e.is_parity) continue;
+      RepairPlan::Target t;
+      t.elem = {n, r};
+      for (const auto& term : e.terms) {
+        t.sources.push_back(
+            {info_home_[static_cast<std::size_t>(term.info)], term.coeff});
+      }
+      stmts.push_back(std::move(t));
+    }
+  }
+  encode_prog_ = compile_schedule(stmts);
 }
 
 const MixedCode::Element& MixedCode::element(int node, int row) const {
@@ -73,21 +88,7 @@ double MixedCode::avg_single_write_cost() const noexcept {
 void MixedCode::encode(std::span<const NodeView> nodes) const {
   APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(nodes_),
                  "encode needs one view per node");
-  const std::size_t len = nodes[0].len;
-  for (int n = 0; n < nodes_; ++n) {
-    for (int r = 0; r < rows_; ++r) {
-      const auto& e = element(n, r);
-      if (!e.is_parity) continue;
-      std::uint8_t* dst = nodes[static_cast<std::size_t>(n)].elem(r);
-      std::memset(dst, 0, len);
-      for (const auto& t : e.terms) {
-        const ElemRef src = info_home_[static_cast<std::size_t>(t.info)];
-        gf::mul_acc_region(dst,
-                           nodes[static_cast<std::size_t>(src.node)].elem(src.row),
-                           len, t.coeff);
-      }
-    }
-  }
+  run_program(*encode_prog_, nodes, nodes[0].len);
 }
 
 std::shared_ptr<const RepairPlan> MixedCode::compute_plan(
@@ -305,17 +306,7 @@ bool MixedCode::can_repair(std::span<const int> erased_nodes) const {
 void MixedCode::apply(const RepairPlan& plan, std::span<const NodeView> nodes) const {
   APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(nodes_),
                  "apply needs one view per node");
-  const std::size_t len = nodes[0].len;
-  for (const auto& target : plan.targets) {
-    std::uint8_t* dst =
-        nodes[static_cast<std::size_t>(target.elem.node)].elem(target.elem.row);
-    std::memset(dst, 0, len);
-    for (const auto& src : target.sources) {
-      gf::mul_acc_region(
-          dst, nodes[static_cast<std::size_t>(src.elem.node)].elem(src.elem.row), len,
-          src.coeff);
-    }
-  }
+  run_program(plan_program(plan), nodes, nodes[0].len);
 }
 
 bool MixedCode::repair(std::span<const NodeView> nodes,

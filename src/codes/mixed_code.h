@@ -74,6 +74,8 @@ class MixedCode {
   std::vector<Element> table_;
   // info index -> (node, row)
   std::vector<ElemRef> info_home_;
+  // Every parity element from its information terms, compiled once.
+  std::shared_ptr<const XorProgram> encode_prog_;
 
   mutable std::mutex cache_mu_;
   mutable std::map<std::vector<int>, std::shared_ptr<const RepairPlan>> plan_cache_;

@@ -1,16 +1,16 @@
 #include "codes/schedule_opt.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
+#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
 #include "gf/gf256.h"
+#include "kernels/dispatch.h"
 #include "obs/metrics.h"
-#include "xorblk/xor_kernels.h"
 
 namespace approx::codes {
 
@@ -178,15 +178,36 @@ std::shared_ptr<const XorProgram> compile_schedule(
   return prog;
 }
 
+const XorProgram& plan_program(const RepairPlan& plan) {
+  std::call_once(plan.compile_once,
+                 [&] { plan.compiled = compile_schedule(plan.targets); });
+  return *plan.compiled;
+}
+
 void run_program(const XorProgram& prog, std::span<const NodeView> nodes,
-                 std::size_t len, std::size_t block_bytes) {
+                 std::size_t len, std::span<const std::uint32_t> slice,
+                 std::size_t block_bytes) {
   APPROX_REQUIRE(block_bytes > 0, "schedule block size must be positive");
+  const std::size_t count = slice.empty() ? prog.stmts.size() : slice.size();
+  const auto stmt_at = [&](std::size_t i) -> const XorProgram::Stmt& {
+    return prog.stmts[slice.empty() ? i : slice[i]];
+  };
+  // Temps are defined before use, so the executed statements' temp
+  // definitions bound the scratch they need.
+  std::size_t temps = 0, max_sources = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const XorProgram::Stmt& stmt = stmt_at(i);
+    if (stmt.dst.node == XorProgram::kTempNode) {
+      temps = std::max(temps, static_cast<std::size_t>(stmt.dst.row) + 1);
+    }
+    max_sources = std::max(max_sources, stmt.sources.size());
+  }
   const std::size_t block = std::min(block_bytes, std::max<std::size_t>(len, 1));
   // One scratch allocation per run: temp t lives at [t*block, (t+1)*block)
   // and is recomputed per block, so scratch never scales with element length.
-  std::vector<std::uint8_t> scratch(
-      static_cast<std::size_t>(prog.temp_count) * block);
+  std::vector<std::uint8_t> scratch(temps * block);
   std::vector<const std::uint8_t*> gather;
+  gather.reserve(max_sources);
   for (std::size_t off = 0; off < len; off += block) {
     const std::size_t blk = std::min(block, len - off);
     const auto ptr = [&](const XorProgram::Ref& r) -> std::uint8_t* {
@@ -195,20 +216,16 @@ void run_program(const XorProgram& prog, std::span<const NodeView> nodes,
       }
       return nodes[static_cast<std::size_t>(r.node)].elem(r.row) + off;
     };
-    for (const auto& stmt : prog.stmts) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const XorProgram::Stmt& stmt = stmt_at(i);
       std::uint8_t* dst = ptr(stmt.dst);
       gather.clear();
       for (const auto& src : stmt.sources) {
         if (src.coeff == 1) gather.push_back(ptr(src.ref));
       }
-      // Gather writes dst once per chunk (dst may alias any single source);
-      // GF terms then accumulate on top, matching the naive
-      // memset + mul_acc result byte for byte.
-      if (gather.empty()) {
-        std::memset(dst, 0, blk);
-      } else {
-        xorblk::xor_gather(dst, gather, blk);
-      }
+      // Gather writes dst once per chunk (dst may alias any single source;
+      // no sources zeroes it); GF terms then accumulate on top.
+      kernels::xor_gather(dst, gather, blk);
       for (const auto& src : stmt.sources) {
         if (src.coeff != 1) {
           gf::mul_acc_region(dst, ptr(src.ref), blk, src.coeff);

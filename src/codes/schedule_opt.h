@@ -1,5 +1,5 @@
-// Schedule compiler: turns the term lists LinearCode executes (encode plans
-// and repair schedules) into an optimized XOR program.
+// Schedule compiler: turns the statement lists the codes execute (encode
+// statements and repair schedules) into an optimized XOR program.
 //
 // Two transformations, in the spirit of Uezato's XOR-scheduling work:
 //
@@ -18,11 +18,13 @@
 //     in L1/L2.  Temporaries need one block of scratch each - a single
 //     allocation per run, not per statement.
 //
-// Execution is byte-identical to the naive per-target loops in
-// linear_code.cpp: each statement is a multi-source XOR gather (dst may
+// run_program() is the only statement executor in src/codes: encode,
+// repair, degraded-read slices and scrub of LinearCode and MixedCode all
+// run through it.  Each statement is a multi-source XOR gather (dst may
 // alias any single source, per the kernel contract) followed by GF
-// multiply-accumulates for non-unit coefficients.  Coefficients survive
-// compilation untouched - CSE only ever merges pure XOR operands.
+// multiply-accumulates for non-unit coefficients, so the result equals the
+// per-byte sum dst = sum(coeff * src).  Coefficients survive compilation
+// untouched - CSE only ever merges pure XOR operands.
 #pragma once
 
 #include <cstddef>
@@ -58,8 +60,9 @@ struct XorProgram {
     std::vector<Source> sources;
   };
 
-  std::vector<Stmt> stmts;  // temp definitions first, then the original
-                            // statements in input order
+  std::vector<Stmt> stmts;  // temp definitions first (temp t is defined by
+                            // stmts[t]), then the original statements in
+                            // input order
   int temp_count = 0;
 
   // XOR-pass accounting (sum over statements of max(sources - 1, 0)): the
@@ -76,11 +79,17 @@ struct XorProgram {
 std::shared_ptr<const XorProgram> compile_schedule(
     std::span<const RepairPlan::Target> stmts);
 
+// The program of a repair plan, compiled on first use and cached in the
+// plan (feasibility probes that never execute a plan never compile it).
+const XorProgram& plan_program(const RepairPlan& plan);
+
 // Execute a compiled program over strided node views.  `nodes` is indexed by
-// Ref::node; every view must have element length `len`.  `block_bytes` is a
-// test hook (odd lengths / tiny blocks); callers use the default.
+// Ref::node; every view must have element length `len`.  A non-empty
+// `slice` lists the statements to run (ascending indices into prog.stmts,
+// closed under dependencies); empty runs the whole program.  `block_bytes`
+// is a test hook (odd lengths / tiny blocks); callers use the default.
 void run_program(const XorProgram& prog, std::span<const NodeView> nodes,
-                 std::size_t len,
+                 std::size_t len, std::span<const std::uint32_t> slice = {},
                  std::size_t block_bytes = kScheduleBlockBytes);
 
 }  // namespace approx::codes

@@ -24,8 +24,8 @@
 // thread-local, and submit()/parallel_for() without an explicit class tag
 // the submitter's current class.  A pipeline whose driver runs under
 // TaskClassScope(kBulk) therefore classifies its process tasks and any
-// nested codec fan-out as bulk without threading a parameter through
-// every layer.  Top-level (non-pool) threads default to kInteractive.
+// work they submit as bulk without threading a parameter through every
+// layer.  Top-level (non-pool) threads default to kInteractive.
 //
 // Both waits are *helping* waits: a thread blocked in Task::wait() or
 // parallel_for() pops and runs queued tasks instead of sleeping while

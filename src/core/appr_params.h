@@ -10,6 +10,8 @@
 // then local parities; global parities occupy the last g slots.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
 
 #include "codes/code_family.h"
@@ -36,11 +38,20 @@ struct ApprParams {
   int total_data_nodes() const { return h * k; }
   int total_parity_nodes() const { return h * r + g; }
 
-  void validate() const {
-    APPROX_REQUIRE(k >= 1 && r >= 1 && g >= 0 && h >= 1, "k,r,h >= 1 and g >= 0");
+  // The one gate for code parameters: the CLI, the coordinator's volume
+  // create, manifest and superblock parsing and ApproximateCode all call
+  // it.  With a block size it also checks the element layout.
+  void validate(std::optional<std::size_t> block = std::nullopt) const {
+    APPROX_REQUIRE(k >= 1 && r >= 1 && g >= 1 && h >= 1, "k, r, g, h must be >= 1");
     APPROX_REQUIRE(r + g <= 3, "families provide at most 3 parity levels (3DFT)");
     APPROX_REQUIRE(codes::family_supports(family, k),
                    codes::family_name(family) + " does not support k=" + std::to_string(k));
+    if (block.has_value()) {
+      APPROX_REQUIRE(*block > 0, "block size must be positive");
+      APPROX_REQUIRE(structure != Structure::Even ||
+                         *block % static_cast<std::size_t>(h) == 0,
+                     "Even structure needs block size divisible by h");
+    }
   }
 
   std::string name() const {

@@ -5,10 +5,8 @@
 #include <memory>
 #include <set>
 
-#include "codes/parallel.h"
 #include "common/buffer.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -30,13 +28,7 @@ std::size_t plan_elem_len(const ApprParams& p, std::size_t block, bool is_virtua
 
 ApproximateCode::ApproximateCode(ApprParams params, std::size_t block_size)
     : params_(params), block_size_(block_size) {
-  params_.validate();
-  APPROX_REQUIRE(block_size_ > 0, "block_size must be positive");
-  if (params_.structure == Structure::Even) {
-    APPROX_REQUIRE(block_size_ % static_cast<std::size_t>(params_.h) == 0,
-                   "Even structure needs block_size divisible by h");
-  }
-  APPROX_REQUIRE(params_.g >= 1, "Approximate Code needs at least one global parity");
+  params_.validate(block_size_);
   rows_ = codes::family_rows(params_.family, params_.k);
   local_ = codes::family_make(params_.family, params_.k, params_.r);
   base_ = codes::family_make(params_.family, params_.k, params_.r + params_.g);
@@ -50,6 +42,23 @@ std::size_t ApproximateCode::important_capacity() const noexcept {
 std::size_t ApproximateCode::unimportant_capacity() const noexcept {
   return static_cast<std::size_t>(params_.k) * static_cast<std::size_t>(params_.h - 1) *
          node_bytes();
+}
+
+std::uint64_t ApproximateCode::chunk_count(std::uint64_t important_len,
+                                           std::uint64_t unimportant_len) const {
+  const auto ceil_div = [](std::uint64_t a, std::uint64_t b) {
+    return (a + b - 1) / b;
+  };
+  std::uint64_t chunks = std::max<std::uint64_t>(
+      1, ceil_div(important_len, important_capacity()));
+  if (unimportant_len > 0) {
+    // h = 1 leaves no unimportant capacity: such bytes have nowhere to go.
+    APPROX_REQUIRE(unimportant_capacity() > 0,
+                   name() + " stores no unimportant bytes (h = 1), but " +
+                       std::to_string(unimportant_len) + " were given");
+    chunks = std::max(chunks, ceil_div(unimportant_len, unimportant_capacity()));
+  }
+  return chunks;
 }
 
 ApproximateCode::Range ApproximateCode::node_important_range(int node) const {
@@ -114,10 +123,11 @@ void ApproximateCode::scatter(std::span<const std::uint8_t> important,
     const Range imp = node_important_range(node);
     const Range unimp = node_unimportant_range(node);
     const std::size_t s = seg();
-    const std::size_t u = block_size_ - s;
+    const std::size_t u = block_size_ - s;  // 0 under h = 1: no stream to copy
     for (int t = 0; t < rows_; ++t) {
       std::memcpy(dst.data() + static_cast<std::size_t>(t) * block_size_,
                   important.data() + imp.offset + static_cast<std::size_t>(t) * s, s);
+      if (u == 0) continue;
       std::memcpy(dst.data() + static_cast<std::size_t>(t) * block_size_ + s,
                   unimportant.data() + unimp.offset + static_cast<std::size_t>(t) * u, u);
     }
@@ -151,10 +161,11 @@ void ApproximateCode::gather(std::span<std::span<std::uint8_t>> nodes,
     const Range imp = node_important_range(node);
     const Range unimp = node_unimportant_range(node);
     const std::size_t s = seg();
-    const std::size_t u = block_size_ - s;
+    const std::size_t u = block_size_ - s;  // 0 under h = 1: no stream to copy
     for (int t = 0; t < rows_; ++t) {
       std::memcpy(important.data() + imp.offset + static_cast<std::size_t>(t) * s,
                   src.data() + static_cast<std::size_t>(t) * block_size_, s);
+      if (u == 0) continue;
       std::memcpy(unimportant.data() + unimp.offset + static_cast<std::size_t>(t) * u,
                   src.data() + static_cast<std::size_t>(t) * block_size_ + s, u);
     }
@@ -205,16 +216,6 @@ std::vector<codes::NodeView> ApproximateCode::virtual_views(
 }
 
 void ApproximateCode::encode(std::span<std::span<std::uint8_t>> nodes) const {
-  encode_impl(nodes, nullptr);
-}
-
-void ApproximateCode::encode(std::span<std::span<std::uint8_t>> nodes,
-                             ThreadPool& pool) const {
-  encode_impl(nodes, &pool);
-}
-
-void ApproximateCode::encode_impl(std::span<std::span<std::uint8_t>> nodes,
-                                  ThreadPool* pool) const {
   APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
                  "node span count mismatch");
   APPROX_OBS_SPAN(span, "core.encode");
@@ -227,12 +228,7 @@ void ApproximateCode::encode_impl(std::span<std::span<std::uint8_t>> nodes,
   }
   // Local parities: every stripe.
   for (int stripe = 0; stripe < params_.h; ++stripe) {
-    auto views = local_views(nodes, stripe);
-    if (pool != nullptr) {
-      codes::encode_parallel(*local_, views, *pool);
-    } else {
-      local_->encode(views);
-    }
+    local_->encode(local_views(nodes, stripe));
     local_stripes.add();
   }
   // Global parities over important data.
@@ -242,12 +238,7 @@ void ApproximateCode::encode_impl(std::span<std::span<std::uint8_t>> nodes,
   }
   const int global_stripes = params_.structure == Structure::Uneven ? 1 : params_.h;
   for (int stripe = 0; stripe < global_stripes; ++stripe) {
-    auto views = virtual_views(nodes, stripe);
-    if (pool != nullptr) {
-      codes::encode_parity_nodes_parallel(*base_, views, global_ids, *pool);
-    } else {
-      base_->encode_parity_nodes(views, global_ids);
-    }
+    base_->encode_parity_nodes(virtual_views(nodes, stripe), global_ids);
     global_segments.add();
   }
 }
@@ -487,47 +478,20 @@ RepairReport ApproximateCode::plan_repair(std::span<const int> erased,
 
 void ApproximateCode::execute(const RepairReport& report,
                               std::span<std::span<std::uint8_t>> nodes) const {
-  execute_impl(report, nodes, nullptr);
-}
-
-void ApproximateCode::execute(const RepairReport& report,
-                              std::span<std::span<std::uint8_t>> nodes,
-                              ThreadPool& pool) const {
-  execute_impl(report, nodes, &pool);
-}
-
-void ApproximateCode::execute_impl(const RepairReport& report,
-                                   std::span<std::span<std::uint8_t>> nodes,
-                                   ThreadPool* pool) const {
   APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
                  "node span count mismatch");
   APPROX_OBS_SPAN(span, "core.repair.execute");
   for (const StripeOutcome& out : report.stripes) {
     if (out.plan == nullptr) continue;
     if (out.kind == StripeOutcome::Kind::LocalRepair) {
-      auto views = local_views(nodes, out.stripe);
-      if (pool != nullptr) {
-        codes::apply_parallel(*local_, *out.plan, views, *pool);
-      } else {
-        local_->apply(*out.plan, views);
-      }
+      local_->apply(*out.plan, local_views(nodes, out.stripe));
     } else if (out.kind == StripeOutcome::Kind::ImportantOnlyRepair) {
-      auto views = virtual_views(nodes, out.stripe);
-      if (pool != nullptr) {
-        codes::apply_parallel(*base_, *out.plan, views, *pool);
-      } else {
-        base_->apply(*out.plan, views);
-      }
+      base_->apply(*out.plan, virtual_views(nodes, out.stripe));
     }
   }
   for (const auto& [gi, s] : report.reencode_segments) {
-    auto views = virtual_views(nodes, s);
     const std::vector<int> parity_node{params_.nodes_per_stripe() + gi};
-    if (pool != nullptr) {
-      codes::encode_parity_nodes_parallel(*base_, views, parity_node, *pool);
-    } else {
-      base_->encode_parity_nodes(views, parity_node);
-    }
+    base_->encode_parity_nodes(virtual_views(nodes, s), parity_node);
   }
   // Recompute local parities over the zero-filled lost ranges.
   std::vector<int> local_parities;
@@ -542,11 +506,7 @@ void ApproximateCode::execute_impl(const RepairReport& report,
                           : codes::range_view(node, block_size_, seg(),
                                               block_size_ - seg()));
     }
-    if (pool != nullptr) {
-      codes::encode_parity_nodes_parallel(*local_, views, local_parities, *pool);
-    } else {
-      local_->encode_parity_nodes(views, local_parities);
-    }
+    local_->encode_parity_nodes(views, local_parities);
   }
 }
 
@@ -560,15 +520,6 @@ RepairReport ApproximateCode::repair(std::span<std::span<std::uint8_t>> nodes,
                                      RepairOptions options) const {
   RepairReport report = plan_repair(erased, options);
   execute(report, nodes);
-  return report;
-}
-
-RepairReport ApproximateCode::repair(std::span<std::span<std::uint8_t>> nodes,
-                                     std::span<const int> erased,
-                                     RepairOptions options,
-                                     ThreadPool& pool) const {
-  RepairReport report = plan_repair(erased, options);
-  execute(report, nodes, pool);
   return report;
 }
 

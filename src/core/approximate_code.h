@@ -31,10 +31,6 @@
 #include "codes/linear_code.h"
 #include "core/appr_params.h"
 
-namespace approx {
-class ThreadPool;
-}
-
 namespace approx::core {
 
 // Outcome of one stripe's repair within a failure pattern.
@@ -87,7 +83,7 @@ struct RepairReport {
 
 class ApproximateCode {
  public:
-  // block_size must be a multiple of h under the Even structure.
+  // Throws InvalidArgument unless params.validate(block_size) passes.
   ApproximateCode(ApprParams params, std::size_t block_size);
 
   const ApprParams& params() const noexcept { return params_; }
@@ -107,6 +103,13 @@ class ApproximateCode {
   // unimportant capacity is the remaining (h-1)/h fraction.
   std::size_t important_capacity() const noexcept;
   std::size_t unimportant_capacity() const noexcept;
+
+  // Global stripes ("chunks") needed to hold `important_len` important and
+  // `unimportant_len` unimportant bytes: at least one, enough for each
+  // stream.  Throws InvalidArgument for unimportant bytes when the code
+  // has no unimportant capacity (h = 1).
+  std::uint64_t chunk_count(std::uint64_t important_len,
+                            std::uint64_t unimportant_len) const;
 
   struct Range {
     std::size_t offset = 0;
@@ -129,9 +132,6 @@ class ApproximateCode {
   // --- Coding --------------------------------------------------------------
   // Compute all h*r local parity nodes and g global parity nodes.
   void encode(std::span<std::span<std::uint8_t>> nodes) const;
-  // Identical output, with each stripe's / segment's byte range fanned out
-  // across the pool via codes/parallel sub-views.
-  void encode(std::span<std::span<std::uint8_t>> nodes, ThreadPool& pool) const;
 
   struct RepairOptions {
     // Recompute local parities over zero-filled holes so repaired stripes
@@ -149,19 +149,12 @@ class ApproximateCode {
   // Execute a schedule produced by plan_repair on actual buffers.
   void execute(const RepairReport& report,
                std::span<std::span<std::uint8_t>> nodes) const;
-  // Identical output, with each plan's byte range fanned out across the
-  // pool via codes/parallel sub-views.
-  void execute(const RepairReport& report,
-               std::span<std::span<std::uint8_t>> nodes, ThreadPool& pool) const;
 
   // plan_repair + execute.
   RepairReport repair(std::span<std::span<std::uint8_t>> nodes,
                       std::span<const int> erased) const;
   RepairReport repair(std::span<std::span<std::uint8_t>> nodes,
                       std::span<const int> erased, RepairOptions options) const;
-  RepairReport repair(std::span<std::span<std::uint8_t>> nodes,
-                      std::span<const int> erased, RepairOptions options,
-                      ThreadPool& pool) const;
 
   // --- Incremental updates (the single-write path of Fig. 8) --------------
   // Precondition: the stripes being updated carry consistent parity.  After
@@ -224,11 +217,6 @@ class ApproximateCode {
  private:
   std::size_t seg() const noexcept { return block_size_ / static_cast<std::size_t>(params_.h); }
 
-  void encode_impl(std::span<std::span<std::uint8_t>> nodes,
-                   ThreadPool* pool) const;
-  void execute_impl(const RepairReport& report,
-                    std::span<std::span<std::uint8_t>> nodes,
-                    ThreadPool* pool) const;
   std::vector<codes::NodeView> local_views(std::span<std::span<std::uint8_t>> nodes,
                                            int stripe) const;
   std::vector<codes::NodeView> virtual_views(std::span<std::span<std::uint8_t>> nodes,

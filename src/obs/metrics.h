@@ -3,7 +3,7 @@
 // A process-wide, thread-safe registry of named instruments:
 //   - Counter:        monotonically increasing 64-bit count (one atomic);
 //   - ShardedCounter: counter striped across cache lines for hot paths hit
-//                     concurrently by ThreadPool workers (xorblk byte
+//                     concurrently by ThreadPool workers (kernel byte
 //                     throughput) - value() folds the shards;
 //   - Gauge:          last-written double (per-resource utilization, ...);
 //   - Histogram:      fixed log-spaced buckets (4 per octave) with lock-free

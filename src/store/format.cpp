@@ -103,7 +103,7 @@ Superblock Superblock::deserialize(std::span<const std::uint8_t> bytes) {
   if (sb.block_size == 0 || sb.io_payload == 0) {
     throw Error("corrupt superblock: zero block size");
   }
-  sb.params.validate();
+  sb.params.validate(sb.block_size);
   return sb;
 }
 

@@ -1,5 +1,6 @@
 #include "store/manifest.h"
 
+#include "core/approximate_code.h"
 #include "store/store.h"
 
 #include <cctype>
@@ -167,7 +168,6 @@ Manifest Manifest::load(IoBackend& io, const std::filesystem::path& dir) {
     corrupt("unknown structure '" + structure + "'");
   }
   m.block = parse_u64(kv, "block");
-  if (m.block == 0) corrupt("'block' must be positive");
   m.io_payload =
       m.version == kVolumeV2 ? parse_u64(kv, "io_payload") : kDefaultIoPayload;
   if (m.io_payload == 0) corrupt("'io_payload' must be positive");
@@ -183,9 +183,22 @@ Manifest Manifest::load(IoBackend& io, const std::filesystem::path& dir) {
   }
   m.file_crc = static_cast<std::uint32_t>(crc);
   try {
-    m.params.validate();
+    m.params.validate(m.block);
   } catch (const Error& e) {
     corrupt(std::string("invalid code parameters: ") + e.what());
+  }
+  // The chunk count follows from the sizes; a manifest that disagrees
+  // would otherwise decode as phantom data loss or silently truncate.
+  std::uint64_t want_chunks = 0;
+  try {
+    want_chunks = core::ApproximateCode(m.params, m.block)
+                      .chunk_count(m.important_len, m.file_size - m.important_len);
+  } catch (const Error& e) {
+    corrupt(e.what());
+  }
+  if (m.chunks != want_chunks) {
+    corrupt("'chunks' is " + std::to_string(m.chunks) + " but the sizes need " +
+            std::to_string(want_chunks));
   }
   for (const auto& [key, value] : kv) {
     if (!known_key(key)) m.extra[key] = value;

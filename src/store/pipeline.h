@@ -6,8 +6,8 @@
 //   read     sequential, issued in chunk order on the calling thread
 //            (chunk-file readers are stateful; input CRCs chain here);
 //   process  concurrent, one pool task per in-flight chunk — this is
-//            where codec work runs, optionally fanning out further via
-//            codes/parallel sub-views;
+//            where codec work runs, one stripe per task: the in-flight
+//            stripes are the only source of codec parallelism;
 //   write    sequential, committed in strict chunk order as processed
 //            chunks reach the head of the ring (appends and output CRC
 //            chains live here).

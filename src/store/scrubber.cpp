@@ -161,7 +161,6 @@ RepairOutcome ScrubService::repair_damage(const ScrubReport& report,
   ThreadPool& pipeline_pool = vol_.pool();
   const int depth =
       resolve_pipeline_depth(vol_.options().pipeline_depth, pipeline_pool);
-  const bool fan_out = depth < static_cast<int>(pipeline_pool.size());
 
   struct Slot {
     StripeBuffers stripe;
@@ -210,9 +209,7 @@ RepairOutcome ScrubService::repair_damage(const ScrubReport& report,
     slot.unimportant_bytes_lost = 0;
     if (slot.repaired) {
       APPROX_OBS_SPAN(span_chunk, "store.stripe_repair");
-      const auto rep =
-          fan_out ? code.repair(spans, slot.erased, code_opts, pipeline_pool)
-                  : code.repair(spans, slot.erased, code_opts);
+      const auto rep = code.repair(spans, slot.erased, code_opts);
       slot.fully_recovered = rep.fully_recovered;
       slot.all_important_recovered = rep.all_important_recovered;
       slot.unimportant_bytes_lost = rep.unimportant_data_bytes_lost;

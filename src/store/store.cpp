@@ -20,10 +20,6 @@ namespace {
   throw StoreError(st.code, context + ": " + st.message);
 }
 
-std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
-  return (a + b - 1) / b;
-}
-
 // Robustness instruments, registered eagerly (first VolumeStore touch) so
 // `approxcli stats` and the bench --json dumps always carry them, even for
 // a run that never hit a fault.
@@ -45,13 +41,6 @@ struct RobustnessMetrics {
     return m;
   }
 };
-
-// When stripe-level pipelining alone cannot fill the pool (fewer in-flight
-// stripes than workers), fan each stripe's codec work out across the pool
-// too via the codes/parallel sub-views.
-bool fan_out_codec(int depth, const ThreadPool& pool) {
-  return depth < static_cast<int>(pool.size());
-}
 
 }  // namespace
 
@@ -283,8 +272,7 @@ VolumeStore VolumeStore::encode_file(IoBackend& io,
   const std::uint64_t unimp_len = m.file_size - m.important_len;
   const std::uint64_t icap = code.important_capacity();
   const std::uint64_t ucap = code.unimportant_capacity();
-  m.chunks = std::max<std::uint64_t>(
-      1, std::max(ceil_div(m.important_len, icap), ceil_div(unimp_len, ucap)));
+  m.chunks = code.chunk_count(m.important_len, unimp_len);
 
   st = io.create_directories(dir);
   if (!st.ok()) throw_io(st, "creating volume directory");
@@ -310,7 +298,6 @@ VolumeStore VolumeStore::encode_file(IoBackend& io,
   // the stripe to every node file in chunk order.
   ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::global();
   const int depth = resolve_pipeline_depth(opts.pipeline_depth, pool);
-  const bool fan_out = fan_out_codec(depth, pool);
 
   struct Staged {
     std::vector<std::uint8_t> imp, unimp;
@@ -355,11 +342,7 @@ VolumeStore VolumeStore::encode_file(IoBackend& io,
     auto& s = slots[static_cast<std::size_t>(slot)];
     auto spans = s.stripe.spans();
     code.scatter(s.imp, s.unimp, spans);
-    if (fan_out) {
-      code.encode(spans, pool);
-    } else {
-      code.encode(spans);
-    }
+    code.encode(spans);
     return IoStatus::success();
   };
   stages.write = [&](std::uint64_t, int slot) -> IoStatus {
@@ -498,7 +481,6 @@ VolumeStore::DecodeResult VolumeStore::decode_file(
   // bookkeeping into the shared result.
   ThreadPool& pipeline_pool = pool();
   const int depth = resolve_pipeline_depth(opts_.pipeline_depth, pipeline_pool);
-  const bool fan_out = fan_out_codec(depth, pipeline_pool);
 
   struct Slot {
     StripeBuffers stripe;
@@ -567,9 +549,7 @@ VolumeStore::DecodeResult VolumeStore::decode_file(
       // Exact reconstruction of the erased members in scratch memory; the
       // on-disk files are untouched.  Anything the code cannot restore
       // stays zero-filled and is reported as explicit loss below.
-      const auto rep =
-          fan_out ? code_->repair(spans, slot.erased, {}, pipeline_pool)
-                  : code_->repair(spans, slot.erased);
+      const auto rep = code_->repair(spans, slot.erased);
       slot.important_ok = rep.all_important_recovered;
       slot.lost_bytes =
           rep.important_data_bytes_lost + rep.unimportant_data_bytes_lost;

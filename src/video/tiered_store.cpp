@@ -32,6 +32,10 @@ TieredVideoStore::TieredVideoStore(core::ApprParams params, std::size_t block_si
 
 void TieredVideoStore::put(const EncodedVideo& video, ImportancePolicy policy) {
   const ClassifiedStream classified = classify(video, policy);
+  // Derived before any state changes: throws when the stream does not fit
+  // the code (unimportant frames under h = 1).
+  const std::size_t chunks = code_->chunk_count(classified.important.size(),
+                                                classified.unimportant.size());
   important_len_ = classified.important.size();
   unimportant_len_ = classified.unimportant.size();
   frame_count_ = classified.frame_count;
@@ -43,9 +47,6 @@ void TieredVideoStore::put(const EncodedVideo& video, ImportancePolicy policy) {
 
   const std::size_t imp_cap = code_->important_capacity();
   const std::size_t unimp_cap = code_->unimportant_capacity();
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::max((important_len_ + imp_cap - 1) / imp_cap,
-                  (unimportant_len_ + unimp_cap - 1) / unimp_cap));
 
   // Chunks are independent global stripes, so they scatter + encode in
   // parallel across the pool (each worker owns its chunk's buffers).
@@ -129,7 +130,7 @@ ReassembledVideo TieredVideoStore::get_degraded() {
     code_->degraded_read_important(spans, failed_, 0, ci);
     code_->degraded_read_unimportant(spans, failed_, 0, cu);  // holes stay zero
     std::memcpy(imp.data() + c * ci.size(), ci.data(), ci.size());
-    std::memcpy(unimp.data() + c * cu.size(), cu.data(), cu.size());
+    std::copy(cu.begin(), cu.end(), unimp.begin() + c * cu.size());  // h = 1: empty
   }
   imp.resize(std::min(imp.size(), important_len_));
   unimp.resize(std::min(unimp.size(), unimportant_len_));
@@ -148,7 +149,7 @@ void TieredVideoStore::spill(store::IoBackend& io,
   m.io_payload = opts.io_payload;
   m.file_size = important_len_ + unimportant_len_;
   m.important_len = important_len_;
-  m.chunks = chunks_.size();
+  m.chunks = code_->chunk_count(important_len_, unimportant_len_);
   m.extra["video.frame_count"] = std::to_string(frame_count_);
   m.extra["video.width"] = std::to_string(width_);
   m.extra["video.height"] = std::to_string(height_);
@@ -331,7 +332,7 @@ ReassembledVideo TieredVideoStore::get() {
     auto spans = chunks_[c].spans();
     code_->gather(spans, ci, cu);
     std::memcpy(imp.data() + c * ci.size(), ci.data(), ci.size());
-    std::memcpy(unimp.data() + c * cu.size(), cu.data(), cu.size());
+    std::copy(cu.begin(), cu.end(), unimp.begin() + c * cu.size());  // h = 1: empty
   }
   imp.resize(std::min(imp.size(), important_len_));
   unimp.resize(std::min(unimp.size(), unimportant_len_));

@@ -70,6 +70,44 @@ rc=0; msg=$("$CLI" info vol3 2>&1) || rc=$?
 [ "$rc" -eq 1 ] || fail "corrupt manifest should exit 1 (corruption), got $rc"
 echo "$msg" | grep -q 'corrupt manifest' || fail "corrupt manifest not reported"
 
+# --- a manifest whose chunk count disagrees with its sizes is corrupt ---------
+for chunks in 0 99; do
+  rm -rf vol4
+  "$CLI" encode input.bin vol4 >/dev/null || fail "encode for chunks=$chunks"
+  sed "s/^chunks=.*/chunks=$chunks/" vol4/manifest.txt > vol4/manifest.txt.new
+  mv vol4/manifest.txt.new vol4/manifest.txt
+  rc=0; msg=$("$CLI" decode vol4 chunks.bin 2>&1) || rc=$?
+  [ "$rc" -eq 1 ] || fail "manifest with chunks=$chunks should exit 1, got $rc"
+  echo "$msg" | grep -q 'corrupt manifest' \
+      || fail "chunks=$chunks not reported as a corrupt manifest"
+done
+
+# --- h = 1: no unimportant tier, everything protected by r + g ---------------
+"$CLI" encode --family rs --k 4 --r 2 --g 1 --h 1 input.bin volh1 >/dev/null \
+    || fail "h=1 encode"
+rm volh1/node_001.acb volh1/node_004.acb volh1/node_006.acb
+"$CLI" decode volh1 h1_degraded.bin || fail "h=1 decode with r+g nodes lost"
+cmp -s input.bin h1_degraded.bin || fail "h=1 degraded roundtrip differs"
+[ -f volh1/node_006.acb ] || fail "h=1 decode did not self-heal"
+"$CLI" scrub volh1 || fail "h=1 scrub after self-heal"
+rm volh1/node_000.acb volh1/node_005.acb volh1/node_006.acb
+"$CLI" repair volh1 || fail "h=1 repair"
+"$CLI" scrub volh1 || fail "h=1 scrub after repair"
+"$CLI" decode volh1 h1_repaired.bin || fail "h=1 decode after repair"
+cmp -s input.bin h1_repaired.bin || fail "h=1 repaired roundtrip differs"
+# Unimportant bytes have no capacity under h = 1: a split below the file
+# size is refused up front instead of silently dropping the rest.
+rc=0; "$CLI" encode --family rs --k 4 --r 2 --g 1 --h 1 --split 1000 \
+    input.bin volh1s 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || fail "h=1 with --split below the file size should exit 2, got $rc"
+[ ! -e volh1s/manifest.txt ] || fail "refused h=1 split still committed a volume"
+
+# --- bad code parameters are usage errors ------------------------------------
+for bad in "--g 0" "--k 0" "--r 2 --g 2" "--structure even --h 3 --block 4096"; do
+  rc=0; "$CLI" encode $bad input.bin volbad 2>/dev/null || rc=$?
+  [ "$rc" -eq 2 ] || fail "encode $bad should exit 2 (usage), got $rc"
+done
+
 # --- exit codes distinguish the failure classes ------------------------------
 rc=0; "$CLI" info no-such-volume 2>/dev/null || rc=$?
 [ "$rc" -eq 3 ] || fail "missing volume should exit 3 (I/O error), got $rc"
@@ -156,21 +194,7 @@ echo "$msg" | grep -q 'APPROX_KERNEL=banana is not a known backend' \
     || fail "unknown backend not warned about"
 echo "$msg" | grep -q 'avx512' || fail "warning does not list the vocabulary"
 
-# --- schedule-compiler env knob: both modes roundtrip, unknowns warn ---------
-for sched in naive compiled; do
-  rm vol2/node_004.acb
-  APPROX_SCHEDULE=$sched "$CLI" decode vol2 "sched_$sched.bin" \
-      || fail "degraded decode under APPROX_SCHEDULE=$sched"
-  cmp -s input.bin "sched_$sched.bin" \
-      || fail "APPROX_SCHEDULE=$sched roundtrip differs"
-done
-rm vol2/node_004.acb
-rc=0; msg=$(APPROX_SCHEDULE=banana "$CLI" decode vol2 sched_bad.bin 2>&1) || rc=$?
-[ "$rc" -eq 0 ] || fail "APPROX_SCHEDULE=banana should fall back, got exit $rc"
-cmp -s input.bin sched_bad.bin || fail "fallback-mode roundtrip differs"
-echo "$msg" | grep -q 'APPROX_SCHEDULE=banana is not a known mode' \
-    || fail "unknown schedule mode not warned about"
-"$CLI" scrub vol2 || fail "scrub after kernel/schedule probes"
+"$CLI" scrub vol2 || fail "scrub after kernel probes"
 
 # --- network failure class: unreachable coordinator exits 5 -------------------
 rc=0; "$CLI" get --coordinator 127.0.0.1:1 rvol nope.bin 2>/dev/null || rc=$?

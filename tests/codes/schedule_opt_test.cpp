@@ -1,17 +1,17 @@
 // Schedule-compiler suite: structural invariants of compiled XOR programs,
-// byte-identical naive-vs-compiled execution, blocked-execution equivalence
-// on odd lengths, the dst-aliasing contract, and a golden XOR-count pin for
-// a fixed CRS matrix (the CSE win the optimizer exists for).
+// compiled encode/repair against the per-byte reference interpreter,
+// degraded-read slices of compiled repair programs, blocked-execution
+// equivalence on odd lengths, the dst-aliasing contract, and a golden
+// XOR-count pin for a fixed CRS matrix (the CSE win the optimizer exists
+// for).
 #include "codes/schedule_opt.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,29 +22,45 @@
 #include "codes/verify.h"
 #include "common/buffer.h"
 #include "common/prng.h"
+#include "../support/reference_schedule.h"
 
 namespace approx::codes {
 namespace {
 
 constexpr std::uint64_t kSeed = 0xC0DE5EEDull;
 
-// Encode statements of a code (dst = parity element, sources = data terms),
-// the same construction LinearCode::encode_program uses.
-std::vector<RepairPlan::Target> encode_stmts(const LinearCode& code) {
-  std::vector<RepairPlan::Target> stmts;
+using testsupport::reference_run;
+
+// Encode statements of every parity node of `code`.
+std::vector<RepairPlan::Target> encode_statements(const LinearCode& code) {
+  std::vector<int> parities;
   for (int p = code.data_nodes(); p < code.total_nodes(); ++p) {
-    for (int row = 0; row < code.rows(); ++row) {
-      RepairPlan::Target t;
-      t.elem = {p, row};
-      for (const auto& term : code.parity_terms(p, row)) {
-        t.sources.push_back(
-            {ElemRef{term.info / code.rows(), term.info % code.rows()},
-             term.coeff});
-      }
-      stmts.push_back(std::move(t));
-    }
+    parities.push_back(p);
   }
-  return stmts;
+  return code.encode_statements(parities);
+}
+
+std::vector<NodeView> views_of(StripeBuffers& buf, std::size_t len) {
+  std::vector<NodeView> v;
+  for (int n = 0; n < buf.nodes(); ++n) v.push_back(full_view(buf.node(n), len));
+  return v;
+}
+
+StripeBuffers random_stripe(int nodes, std::size_t node_bytes) {
+  StripeBuffers buf(nodes, node_bytes);
+  Rng rng(kSeed);
+  for (int n = 0; n < nodes; ++n) {
+    auto s = buf.node(n);
+    fill_random(s.data(), s.size(), rng);
+  }
+  return buf;
+}
+
+void poison(StripeBuffers& buf, const std::vector<int>& erased) {
+  for (const int e : erased) {
+    auto s = buf.node(e);
+    std::memset(s.data(), 0xEE, s.size());
+  }
 }
 
 // Every temp is defined before use; every program-written element is read
@@ -80,7 +96,7 @@ void check_program_order(const XorProgram& prog) {
 
 TEST(ScheduleCompile, CrsEncodeSharesSubexpressions) {
   auto code = make_cauchy_rs(6, 3);
-  auto prog = compile_schedule(encode_stmts(*code));
+  auto prog = compile_schedule(encode_statements(*code));
   ASSERT_NE(prog, nullptr);
   EXPECT_GT(prog->temp_count, 0);
   EXPECT_LT(prog->compiled_xors, prog->naive_xors);
@@ -93,7 +109,7 @@ TEST(ScheduleCompile, CrsEncodeSharesSubexpressions) {
 // (or the CRS construction) changed behavior - update deliberately.
 TEST(ScheduleCompile, GoldenCrsXorCounts) {
   auto code = make_cauchy_rs(4, 2);
-  auto prog = compile_schedule(encode_stmts(*code));
+  auto prog = compile_schedule(encode_statements(*code));
   ASSERT_NE(prog, nullptr);
   EXPECT_EQ(prog->naive_xors, 219u);
   EXPECT_EQ(prog->compiled_xors, 107u);  // 51% fewer XOR passes
@@ -103,7 +119,7 @@ TEST(ScheduleCompile, GoldenCrsXorCounts) {
 
 TEST(ScheduleCompile, SingleStatementCompilesVerbatim) {
   auto code = make_cauchy_rs(4, 2);
-  auto stmts = encode_stmts(*code);
+  auto stmts = encode_statements(*code);
   stmts.resize(1);
   auto prog = compile_schedule(stmts);
   EXPECT_EQ(prog->temp_count, 0);
@@ -143,26 +159,12 @@ TEST(ScheduleRun, BlockedExecutionMatchesDefault) {
   auto code = make_cauchy_rs(5, 3);
   const std::size_t len = 333;  // odd: exercises partial-block tails
   const std::size_t node_bytes = len * static_cast<std::size_t>(code->rows());
-  StripeBuffers a(code->total_nodes(), node_bytes);
-  Rng rng(kSeed);
-  for (int n = 0; n < code->total_nodes(); ++n) {
-    auto s = a.node(n);
-    fill_random(s.data(), s.size(), rng);
-  }
+  StripeBuffers a = random_stripe(code->total_nodes(), node_bytes);
   StripeBuffers b = a;
 
-  auto prog = compile_schedule(encode_stmts(*code));
-  const auto views = [&](StripeBuffers& buf) {
-    std::vector<NodeView> v;
-    for (int n = 0; n < code->total_nodes(); ++n) {
-      v.push_back(full_view(buf.node(n), len));
-    }
-    return v;
-  };
-  auto va = views(a);
-  auto vb = views(b);
-  run_program(*prog, va, len);
-  run_program(*prog, vb, len, /*block_bytes=*/7);
+  auto prog = compile_schedule(encode_statements(*code));
+  run_program(*prog, views_of(a, len), len);
+  run_program(*prog, views_of(b, len), len, {}, /*block_bytes=*/7);
   for (int n = 0; n < code->total_nodes(); ++n) {
     ASSERT_EQ(0, std::memcmp(a.node(n).data(), b.node(n).data(), node_bytes))
         << "node " << n;
@@ -190,63 +192,50 @@ TEST(ScheduleRun, DstAliasingSourceIsInPlaceAccumulate) {
   EXPECT_EQ(0, std::memcmp(x.data(), expect.data(), len));
 }
 
-// Naive and compiled execution must be byte-identical for every code family
-// and every erasure pattern up to the fault tolerance.
+// Compiled encode and repair must match the per-byte reference interpreter
+// for every code family and every erasure pattern up to the fault tolerance.
 template <typename CodePtr>
 void diff_all_patterns(const CodePtr& code, const std::string& name) {
   const std::size_t len = 200;  // odd vector multiple: main loops + tails
   const std::size_t node_bytes = len * static_cast<std::size_t>(code->rows());
 
-  StripeBuffers naive(code->total_nodes(), node_bytes);
-  Rng rng(kSeed);
-  for (int n = 0; n < code->total_nodes(); ++n) {
-    auto s = naive.node(n);
-    fill_random(s.data(), s.size(), rng);
-  }
-  StripeBuffers compiled = naive;
-
-  const auto encode_with = [&](StripeBuffers& buf, bool opt) {
-    code->set_schedule_opt_enabled(opt);
-    auto spans = buf.spans();
+  StripeBuffers compiled = random_stripe(code->total_nodes(), node_bytes);
+  StripeBuffers oracle = compiled;
+  {
+    auto spans = compiled.spans();
     code->encode_blocks(spans, len);
-  };
-  encode_with(naive, false);
-  encode_with(compiled, true);
+  }
+  reference_run(encode_statements(*code), views_of(oracle, len));
   for (int n = 0; n < code->total_nodes(); ++n) {
-    ASSERT_EQ(0, std::memcmp(naive.node(n).data(), compiled.node(n).data(),
+    ASSERT_EQ(0, std::memcmp(oracle.node(n).data(), compiled.node(n).data(),
                              node_bytes))
         << name << " encode differs on node " << n;
   }
 
-  const StripeBuffers pristine = naive;
+  const StripeBuffers pristine = compiled;
   for (int failures = 1; failures <= code->fault_tolerance(); ++failures) {
     for_each_subset(
         code->total_nodes(), failures,
         [&](const std::vector<int>& erased) {
           SCOPED_TRACE(name);
-          const auto repair_with = [&](StripeBuffers& buf, bool opt) {
-            code->set_schedule_opt_enabled(opt);
-            for (const int e : erased) {
-              auto s = buf.node(e);
-              std::memset(s.data(), 0xEE, s.size());
-            }
-            auto spans = buf.spans();
-            EXPECT_TRUE(code->repair_blocks(spans, len, erased));
-          };
-          repair_with(naive, false);
-          repair_with(compiled, true);
+          auto plan = code->plan_repair(erased);
+          EXPECT_NE(plan, nullptr);
+          if (plan == nullptr) return true;
+          poison(compiled, erased);
+          poison(oracle, erased);
+          code->apply(*plan, views_of(compiled, len));
+          reference_run(plan->targets, views_of(oracle, len));
           for (int n = 0; n < code->total_nodes(); ++n) {
-            EXPECT_EQ(0, std::memcmp(naive.node(n).data(),
+            EXPECT_EQ(0, std::memcmp(oracle.node(n).data(),
                                      compiled.node(n).data(), node_bytes))
-                << "node " << n << " differs after repair";
-            EXPECT_EQ(0, std::memcmp(naive.node(n).data(),
+                << "node " << n << " differs from the reference after repair";
+            EXPECT_EQ(0, std::memcmp(compiled.node(n).data(),
                                      pristine.node(n).data(), node_bytes))
                 << "node " << n << " differs from pristine";
           }
           return true;
         });
   }
-  code->set_schedule_opt_enabled(true);
 }
 
 TEST(ScheduleDiff, Crs) { diff_all_patterns(make_cauchy_rs(4, 2), "CRS(4,2)"); }
@@ -255,17 +244,58 @@ TEST(ScheduleDiff, Evenodd) { diff_all_patterns(make_evenodd(5), "EVENODD(5)"); 
 TEST(ScheduleDiff, Rs) { diff_all_patterns(make_rs(5, 3), "RS(5,3)"); }
 TEST(ScheduleDiff, Lrc) { diff_all_patterns(make_lrc(4, 2, 2), "LRC(4,2,2)"); }
 
-TEST(ScheduleToggle, DefaultOnAndSettable) {
-  auto code = make_cauchy_rs(4, 2);
-  // Compiled by default; APPROX_SCHEDULE=naive (the CI schedule matrix)
-  // flips the process-wide default.
-  const char* env = std::getenv("APPROX_SCHEDULE");
-  const bool want = env == nullptr || std::string_view(env) != "naive";
-  EXPECT_EQ(want, code->schedule_opt_enabled());
-  code->set_schedule_opt_enabled(false);
-  EXPECT_FALSE(code->schedule_opt_enabled());
-  code->set_schedule_opt_enabled(true);
-  EXPECT_TRUE(code->schedule_opt_enabled());
+// apply_for_element runs a slice of the compiled repair program.  For every
+// erasure pattern up to the fault tolerance and every target element, the
+// slice alone must rebuild its element byte-exact while every other erased
+// element still holds poison, and must agree with the full apply: a slice
+// that drops a CSE temporary or an earlier target it reads fails here.
+template <typename CodePtr>
+void slice_all_patterns(const CodePtr& code, const std::string& name) {
+  const std::size_t len = 200;
+  const std::size_t node_bytes = len * static_cast<std::size_t>(code->rows());
+  StripeBuffers pristine = random_stripe(code->total_nodes(), node_bytes);
+  {
+    auto spans = pristine.spans();
+    code->encode_blocks(spans, len);
+  }
+  for (int failures = 1; failures <= code->fault_tolerance(); ++failures) {
+    for_each_subset(
+        code->total_nodes(), failures,
+        [&](const std::vector<int>& erased) {
+          SCOPED_TRACE(name);
+          auto plan = code->plan_repair(erased);
+          EXPECT_NE(plan, nullptr);
+          if (plan == nullptr) return true;
+          StripeBuffers full = pristine;
+          poison(full, erased);
+          code->apply(*plan, views_of(full, len));
+          for (const auto& target : plan->targets) {
+            const ElemRef e = target.elem;
+            SCOPED_TRACE("element (" + std::to_string(e.node) + "," +
+                         std::to_string(e.row) + ")");
+            StripeBuffers sliced = pristine;
+            poison(sliced, erased);
+            const int executed =
+                code->apply_for_element(*plan, views_of(sliced, len), e);
+            EXPECT_GE(executed, 1);
+            EXPECT_LE(executed, static_cast<int>(plan->targets.size()));
+            const std::size_t at = static_cast<std::size_t>(e.row) * len;
+            EXPECT_EQ(0, std::memcmp(sliced.node(e.node).data() + at,
+                                     pristine.node(e.node).data() + at, len));
+            EXPECT_EQ(0, std::memcmp(sliced.node(e.node).data() + at,
+                                     full.node(e.node).data() + at, len));
+          }
+          return true;
+        });
+  }
+}
+
+TEST(ScheduleSlice, Rs) { slice_all_patterns(make_rs(5, 3), "RS(5,3)"); }
+TEST(ScheduleSlice, Crs) { slice_all_patterns(make_cauchy_rs(4, 2), "CRS(4,2)"); }
+TEST(ScheduleSlice, Lrc) { slice_all_patterns(make_lrc(4, 2, 2), "LRC(4,2,2)"); }
+TEST(ScheduleSlice, Star) { slice_all_patterns(make_star(5, 3), "STAR(5,3)"); }
+TEST(ScheduleSlice, Evenodd) {
+  slice_all_patterns(make_evenodd(5), "EVENODD(5)");
 }
 
 }  // namespace

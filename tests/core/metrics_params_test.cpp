@@ -27,6 +27,19 @@ TEST(ApprParams, Validation) {
   bad = ok;
   bad.h = 0;
   EXPECT_THROW(bad.validate(), InvalidArgument);
+  bad = ok;
+  bad.g = 0;  // an Approximate Code needs a global parity
+  EXPECT_THROW(bad.validate(), InvalidArgument);
+
+  // With a block size the layout is checked too.
+  EXPECT_NO_THROW(ok.validate(4096));
+  EXPECT_THROW(ok.validate(0), InvalidArgument);
+  bad = ok;
+  bad.h = 3;  // Even: the block must split into h equal segments
+  EXPECT_THROW(bad.validate(4096), InvalidArgument);
+  EXPECT_NO_THROW(bad.validate(4095));
+  bad.structure = Structure::Uneven;
+  EXPECT_NO_THROW(bad.validate(4096));
 }
 
 TEST(ApprParams, NodeCountsAndName) {

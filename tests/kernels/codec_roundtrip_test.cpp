@@ -1,9 +1,7 @@
 // Property-based round-trip suite over the kernel matrix: for every code
 // family at small (k, r), enumerate *all* erasure patterns up to the code's
 // fault tolerance and assert decode == original under every kernel backend
-// the host exposes, crossed with both schedule-execution modes (naive
-// per-target loops vs the compiled XOR program, see codes/schedule_opt.h).
-// Block lengths are deliberately not multiples of the vector width so SIMD
+// the host exposes.  Block lengths are deliberately not multiples of the vector width so SIMD
 // main loops and scalar tails are both on the repaired path.  Data is
 // seeded; the seed is part of every failure message.
 #include <gtest/gtest.h>
@@ -12,7 +10,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "codes/array_codes.h"
@@ -93,51 +90,43 @@ void roundtrip_all_patterns(const Code& code, const std::string& name) {
       });
 }
 
-// Param: (kernel backend, schedule-compiler enabled).  Codes without the
-// schedule hook (MixedCode) simply run their only path in both modes.
-using RoundtripParam = std::tuple<kernels::Backend, bool>;
-
-class CodecRoundtripTest : public ::testing::TestWithParam<RoundtripParam> {
+class CodecRoundtripTest : public ::testing::TestWithParam<kernels::Backend> {
  protected:
-  void SetUp() override { kernels::set_backend(std::get<0>(GetParam())); }
+  void SetUp() override { kernels::set_backend(GetParam()); }
   void TearDown() override { kernels::set_backend(prev_); }
-
-  template <typename Code>
-  void run(const Code& code, const std::string& name) {
-    if constexpr (requires { code.set_schedule_opt_enabled(true); }) {
-      code.set_schedule_opt_enabled(std::get<1>(GetParam()));
-    }
-    roundtrip_all_patterns(code, name);
-  }
 
   kernels::Backend prev_ = kernels::active_backend();
 };
 
-TEST_P(CodecRoundtripTest, Rs) { run(*codes::make_rs(5, 3), "RS(5,3)"); }
-
-TEST_P(CodecRoundtripTest, Crs) {
-  run(*codes::make_cauchy_rs(4, 2), "CRS(4,2)");
+TEST_P(CodecRoundtripTest, Rs) {
+  roundtrip_all_patterns(*codes::make_rs(5, 3), "RS(5,3)");
 }
 
-TEST_P(CodecRoundtripTest, Lrc) { run(*codes::make_lrc(4, 2, 2), "LRC(4,2,2)"); }
+TEST_P(CodecRoundtripTest, Crs) {
+  roundtrip_all_patterns(*codes::make_cauchy_rs(4, 2), "CRS(4,2)");
+}
 
-TEST_P(CodecRoundtripTest, Star) { run(*codes::make_star(5), "STAR(5)"); }
+TEST_P(CodecRoundtripTest, Lrc) {
+  roundtrip_all_patterns(*codes::make_lrc(4, 2, 2), "LRC(4,2,2)");
+}
+
+TEST_P(CodecRoundtripTest, Star) {
+  roundtrip_all_patterns(*codes::make_star(5), "STAR(5)");
+}
 
 TEST_P(CodecRoundtripTest, Evenodd) {
-  run(*codes::make_evenodd(5), "EVENODD(5)");
+  roundtrip_all_patterns(*codes::make_evenodd(5), "EVENODD(5)");
 }
 
 TEST_P(CodecRoundtripTest, MixedXcode) {
-  run(*codes::make_xcode(5), "X-code(5)");
+  roundtrip_all_patterns(*codes::make_xcode(5), "X-code(5)");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, CodecRoundtripTest,
-    ::testing::Combine(::testing::ValuesIn(kernels::available_backends()),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<RoundtripParam>& info) {
-      return std::string(kernels::backend_name(std::get<0>(info.param))) +
-             (std::get<1>(info.param) ? "_compiled" : "_naive");
+    ::testing::ValuesIn(kernels::available_backends()),
+    [](const ::testing::TestParamInfo<kernels::Backend>& info) {
+      return std::string(kernels::backend_name(info.param));
     });
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include "common/prng.h"
 #include "gf/gf256.h"
 #include "kernels/dispatch.h"
-#include "xorblk/xor_kernels.h"
 
 namespace approx {
 namespace {
@@ -141,7 +140,7 @@ TEST_P(KernelDiffTest, XorAccMatchesScalarModel) {
       expected[b] = static_cast<std::uint8_t>(dst[b] ^ src[b]);
     }
 
-    xorblk::xor_acc(dst, src, d.n);
+    kernels::xor_acc(dst, src, d.n);
 
     ASSERT_EQ(0, std::memcmp(dst, expected.data(), d.n));
     for (std::size_t g = 0; g < kGuardBytes; ++g) {
@@ -169,7 +168,7 @@ TEST_P(KernelDiffTest, XorAcc2MatchesScalarModel) {
       expected[i2] = static_cast<std::uint8_t>(dst[i2] ^ a[i2] ^ b[i2]);
     }
 
-    xorblk::xor_acc2(dst, a, b, d.n);
+    kernels::xor_acc2(dst, a, b, d.n);
 
     ASSERT_EQ(0, std::memcmp(dst, expected.data(), d.n));
     for (std::size_t g = 0; g < kGuardBytes; ++g) {
@@ -201,7 +200,7 @@ TEST_P(KernelDiffTest, XorGatherMatchesScalarModel) {
     }
     std::memset(dst, kGuard, d.n + kGuardBytes);
 
-    xorblk::xor_gather(dst, srcs, d.n);
+    kernels::xor_gather(dst, srcs, d.n);
 
     ASSERT_EQ(0, std::memcmp(dst, expected.data(), d.n));
     for (std::size_t g = 0; g < kGuardBytes; ++g) {
@@ -230,6 +229,95 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<kernels::Backend>& info) {
       return std::string(kernels::backend_name(info.param));
     });
+
+// Fixed XOR sizes up to 4096 bytes (beyond the randomized sweep's 600-byte
+// cap, so every unrolled main loop runs several iterations), on every
+// backend.
+class XorKernelTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(XorKernelTest, XorAccMatchesScalar) {
+  const std::size_t n = GetParam();
+  for (const kernels::Backend b : kernels::available_backends()) {
+    kernels::BackendGuard guard(b);
+    Rng rng(n + 1);
+    std::vector<std::uint8_t> dst(n), src(n), expect(n);
+    fill_random(dst.data(), n, rng);
+    fill_random(src.data(), n, rng);
+    for (std::size_t i = 0; i < n; ++i) {
+      expect[i] = static_cast<std::uint8_t>(dst[i] ^ src[i]);
+    }
+    kernels::xor_acc(dst.data(), src.data(), n);
+    EXPECT_EQ(dst, expect) << kernels::backend_name(b);
+  }
+}
+
+TEST_P(XorKernelTest, XorAcc2MatchesTwoSingleCalls) {
+  const std::size_t n = GetParam();
+  for (const kernels::Backend b : kernels::available_backends()) {
+    kernels::BackendGuard guard(b);
+    Rng rng(n + 2);
+    std::vector<std::uint8_t> dst(n), a(n), c(n);
+    fill_random(dst.data(), n, rng);
+    fill_random(a.data(), n, rng);
+    fill_random(c.data(), n, rng);
+    auto expect = dst;
+    kernels::xor_acc(expect.data(), a.data(), n);
+    kernels::xor_acc(expect.data(), c.data(), n);
+    kernels::xor_acc2(dst.data(), a.data(), c.data(), n);
+    EXPECT_EQ(dst, expect) << kernels::backend_name(b);
+  }
+}
+
+TEST_P(XorKernelTest, GatherMatchesSequentialAcc) {
+  const std::size_t n = GetParam();
+  for (const kernels::Backend b : kernels::available_backends()) {
+    kernels::BackendGuard guard(b);
+    Rng rng(n + 3);
+    std::vector<std::vector<std::uint8_t>> srcs(5, std::vector<std::uint8_t>(n));
+    std::vector<const std::uint8_t*> ptrs;
+    for (auto& src : srcs) {
+      fill_random(src.data(), n, rng);
+      ptrs.push_back(src.data());
+    }
+    std::vector<std::uint8_t> expect(n, 0);
+    for (const auto& src : srcs) kernels::xor_acc(expect.data(), src.data(), n);
+    std::vector<std::uint8_t> dst(n, 0xFF);  // gather overwrites
+    kernels::xor_gather(dst.data(), ptrs, n);
+    EXPECT_EQ(dst, expect) << kernels::backend_name(b);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, XorKernelTest,
+                         ::testing::Values(0, 1, 7, 8, 9, 31, 32, 33, 63, 64,
+                                           65, 255, 256, 1 << 12),
+                         [](const auto& in) {
+                           return "n" + std::to_string(in.param);
+                         });
+
+// The gather's source-count edges, pinned on every backend: one source is
+// a copy, none zeroes dst.
+TEST(XorKernels, GatherSingleSourceIsCopy) {
+  for (const kernels::Backend b : kernels::available_backends()) {
+    kernels::BackendGuard guard(b);
+    Rng rng(44);
+    std::vector<std::uint8_t> src(64);
+    fill_random(src.data(), src.size(), rng);
+    std::vector<std::uint8_t> dst(64, 0);
+    const std::uint8_t* p = src.data();
+    kernels::xor_gather(dst.data(), std::span<const std::uint8_t* const>(&p, 1),
+                        64);
+    EXPECT_EQ(dst, src) << kernels::backend_name(b);
+  }
+}
+
+TEST(XorKernels, GatherNoSourcesZeroes) {
+  for (const kernels::Backend b : kernels::available_backends()) {
+    kernels::BackendGuard guard(b);
+    std::vector<std::uint8_t> dst(32, 0xAB);
+    kernels::xor_gather(dst.data(), {}, 32);
+    EXPECT_EQ(dst, std::vector<std::uint8_t>(32, 0)) << kernels::backend_name(b);
+  }
+}
 
 TEST(KernelDispatchTest, ScalarAlwaysAvailable) {
   EXPECT_TRUE(kernels::backend_available(kernels::Backend::kScalar));

@@ -1,12 +1,21 @@
 // On-disk format primitives: superblock serialization, block seals, family
-// wire codes and the streaming CRC combiner.
+// wire codes, the streaming CRC combiner, and the layout rules a volume's
+// manifest must obey (chunk count derived from the sizes, h = 1 volumes).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/crc32.h"
 #include "store/format.h"
+#include "store/scrubber.h"
+#include "store/store.h"
+
+namespace fs = std::filesystem;
 
 namespace approx::store {
 namespace {
@@ -119,6 +128,118 @@ TEST(Crc32Combine, ChainsAcrossManyPieces) {
   c = crc32_combine(c, crc32(p2), p2.size());
   c = crc32_combine(c, crc32(p3), p3.size());
   EXPECT_EQ(c, crc32(s));
+}
+
+// --- chunk count and h = 1 volumes ----------------------------------------
+
+class VolumeLayoutTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::path(::testing::TempDir()) /
+           ("approxfmt_" + std::string(::testing::UnitTest::GetInstance()
+                                           ->current_test_info()
+                                           ->name()));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    std::mt19937 rng(11);
+    data_.resize(200000);
+    for (auto& b : data_) b = static_cast<std::uint8_t>(rng());
+    input_ = dir_ / "input.bin";
+    std::ofstream out(input_, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(data_.data()),
+              static_cast<std::streamsize>(data_.size()));
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  std::vector<std::uint8_t> read_file(const fs::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+
+  // Rewrite one `key=value` line of a committed manifest.
+  void edit_manifest(const fs::path& vol, const std::string& key,
+                     const std::string& value) {
+    const fs::path path = vol / kManifestFile;
+    std::ifstream in(path);
+    std::string text, line;
+    while (std::getline(in, line)) {
+      if (line.rfind(key + "=", 0) == 0) line = key + "=" + value;
+      text += line + "\n";
+    }
+    in.close();
+    std::ofstream(path, std::ios::trunc) << text;
+  }
+
+  // RS(4,2) local stripes, one global parity, no unimportant tier.
+  static core::ApprParams h1_params() {
+    return {codes::Family::RS, 4, 2, 1, 1, core::Structure::Even};
+  }
+
+  PosixIoBackend io_;
+  fs::path dir_;
+  fs::path input_;
+  std::vector<std::uint8_t> data_;
+};
+
+TEST_F(VolumeLayoutTest, HOneVolumeRoundTripsThroughRPlusGLosses) {
+  const fs::path vol_dir = dir_ / "vol";
+  VolumeStore vol = VolumeStore::encode_file(io_, input_, vol_dir, h1_params(),
+                                             4096, std::nullopt);
+  EXPECT_EQ(vol.manifest().important_len, data_.size());
+  // r + g = 3 nodes lost: data, local parity, global parity.
+  for (const int n : {1, 4, 6}) ASSERT_TRUE(fs::remove(vol.node_path(n)));
+
+  const auto degraded = vol.decode_file(dir_ / "degraded.bin");
+  EXPECT_TRUE(degraded.crc_ok);
+  EXPECT_EQ(degraded.unrecoverable_bytes, 0u);
+  EXPECT_EQ(read_file(dir_ / "degraded.bin"), data_);
+
+  ScrubService service(vol);
+  const RepairOutcome outcome = service.drain_pending();
+  EXPECT_TRUE(outcome.all_important_recovered);
+  EXPECT_TRUE(service.scrub().clean());
+  EXPECT_TRUE(vol.parity_scrub().clean());
+  const auto again = vol.decode_file(dir_ / "again.bin");
+  EXPECT_TRUE(again.crc_ok);
+  EXPECT_EQ(read_file(dir_ / "again.bin"), data_);
+}
+
+TEST_F(VolumeLayoutTest, HOneRejectsUnimportantBytes) {
+  // Under h = 1 there is no unimportant capacity: a split below the file
+  // size must be refused before anything is written, not truncated.
+  EXPECT_THROW(VolumeStore::encode_file(io_, input_, dir_ / "vol", h1_params(),
+                                        4096, std::uint64_t{1000}),
+               InvalidArgument);
+  EXPECT_FALSE(fs::exists(dir_ / "vol" / kManifestFile));
+  const core::ApproximateCode code(h1_params(), 4096);
+  EXPECT_EQ(code.unimportant_capacity(), 0u);
+  EXPECT_EQ(code.chunk_count(0, 0), 1u);
+  EXPECT_THROW((void)code.chunk_count(0, 1), InvalidArgument);
+}
+
+TEST_F(VolumeLayoutTest, ManifestChunkCountMustMatchSizes) {
+  const fs::path vol_dir = dir_ / "vol";
+  const std::uint64_t chunks =
+      VolumeStore::encode_file(io_, input_, vol_dir,
+                               {codes::Family::RS, 4, 1, 2, 4,
+                                core::Structure::Even},
+                               4096, std::nullopt)
+          .manifest()
+          .chunks;
+  for (const char* bad : {"0", "99"}) {
+    SCOPED_TRACE(std::string("chunks=") + bad);
+    edit_manifest(vol_dir, "chunks", bad);
+    try {
+      (void)Manifest::load(io_, vol_dir);
+      ADD_FAILURE() << "a manifest with the wrong chunk count loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt manifest"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  edit_manifest(vol_dir, "chunks", std::to_string(chunks));
+  EXPECT_EQ(Manifest::load(io_, vol_dir).chunks, chunks);
 }
 
 }  // namespace

@@ -225,11 +225,7 @@ void write_v1_volume(const fs::path& dir, const std::vector<std::uint8_t>& data,
   core::ApproximateCode code(params, block);
   const std::size_t important_len = data.size() / static_cast<std::size_t>(params.h);
   const std::size_t unimportant_len = data.size() - important_len;
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::max((important_len + code.important_capacity() - 1) /
-                      code.important_capacity(),
-                  (unimportant_len + code.unimportant_capacity() - 1) /
-                      code.unimportant_capacity()));
+  const std::size_t chunks = code.chunk_count(important_len, unimportant_len);
 
   fs::create_directories(dir);
   std::vector<std::ofstream> nodes;

@@ -97,6 +97,26 @@ TEST_F(SpillTest, DamagedSpillIsServicedByGenericScrubRepair) {
   for (const bool lost : got.lost) EXPECT_FALSE(lost);
 }
 
+// h = 1 leaves no unimportant tier: a stream with P/B frames is refused
+// before the store changes, and an all-I stream stores, spills and reloads.
+TEST_F(SpillTest, HOneHoldsOnlyImportantFrames) {
+  const core::ApprParams h1{codes::Family::RS, 4, 2, 1, 1, core::Structure::Even};
+  TieredVideoStore store(h1, 4096);
+  EXPECT_THROW(store.put(make_video()), InvalidArgument);
+  EXPECT_EQ(store.chunk_count(), 0u);
+
+  SceneGenerator gen(96, 64, 21);
+  std::vector<Frame> raw;
+  for (int t = 0; t < 6; ++t) raw.push_back(gen.frame(t));
+  store.put(encode_video(raw, GopPattern("I")));
+  EXPECT_EQ(store.unimportant_stream_bytes(), 0u);
+  store.spill(io_, dir_ / "cold");
+  TieredVideoStore back = TieredVideoStore::load_spill(io_, dir_ / "cold");
+  const auto got = back.get();
+  ASSERT_EQ(got.lost.size(), raw.size());
+  for (const bool lost : got.lost) EXPECT_FALSE(lost);
+}
+
 TEST_F(SpillTest, NonVideoVolumeIsRejected) {
   const EncodedVideo video = make_video();
   TieredVideoStore store(small_params(), 4096);

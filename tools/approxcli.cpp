@@ -175,7 +175,9 @@ store::VolumeStore open_volume(const fs::path& dir) {
 // Commands
 // ---------------------------------------------------------------------------
 
-int cmd_encode(const Options& opts, const fs::path& input, const fs::path& dir) {
+// encode/put check the input against the code before any I/O (e.g.
+// unimportant bytes under h = 1); those InvalidArguments are usage errors.
+int cmd_encode(const Options& opts, const fs::path& input, const fs::path& dir) try {
   store::VolumeStore vol = store::VolumeStore::encode_file(
       posix_io(), input, dir, opts.params, opts.block, opts.split,
       store_options());
@@ -188,6 +190,8 @@ int cmd_encode(const Options& opts, const fs::path& input, const fs::path& dir) 
               static_cast<double>(code.total_nodes()) /
                   code.params().total_data_nodes());
   return 0;
+} catch (const InvalidArgument& e) {
+  usage(e.what());
 }
 
 int cmd_info(const fs::path& dir) {
@@ -470,7 +474,7 @@ int remote_guard(serving::ServingClient& client,
 }
 
 int cmd_put(const RemoteOptions& remote, const Options& codec,
-            const fs::path& input, const std::string& volume) {
+            const fs::path& input, const std::string& volume) try {
   net::TcpTransport transport;
   serving::ServingClient client(transport, remote.coordinator,
                                 client_options(remote, codec));
@@ -482,6 +486,8 @@ int cmd_put(const RemoteOptions& remote, const Options& codec,
                 static_cast<unsigned long long>(m.chunks));
     return kExitOk;
   });
+} catch (const InvalidArgument& e) {
+  usage(e.what());
 }
 
 int cmd_get(const RemoteOptions& remote, const std::string& volume,
@@ -624,6 +630,11 @@ std::vector<std::string> parse_codec_options(
     } else {
       positional.push_back(a);
     }
+  }
+  try {
+    opts.params.validate(opts.block);
+  } catch (const InvalidArgument& e) {
+    usage(e.what());
   }
   return positional;
 }
