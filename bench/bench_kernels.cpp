@@ -9,7 +9,8 @@
 // is the default).  A Stopwatch-based summary table reports per-backend
 // GiB/s, TSC-based bytes/cycle and the speedup over scalar; a second table
 // reports compiled encode GiB/s and each encode program's XOR passes before
-// and after the schedule compiler (codes/schedule_opt.h).
+// and after the schedule compiler (codes/schedule_opt.h), and a third the
+// CRC-32 rungs (common/crc32.h) the host can run.
 // With --json the tables (plus the obs registry, including the
 // kernels.bytes.<backend> counters) land in BENCH_kernels.json.
 // --summary-only skips the google-benchmark pass and prints just the tables.
@@ -20,6 +21,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -27,6 +29,7 @@
 #endif
 
 #include "common/buffer.h"
+#include "common/crc32.h"
 #include "common/prng.h"
 #include "codes/array_codes.h"
 #include "codes/crs_code.h"
@@ -318,6 +321,38 @@ void print_schedule_summary() {
   }
 }
 
+// CRC-32 GiB/s and bytes/cycle per rung the host can run, on 64 KiB
+// buffers (one chunk block's payload, what every footer check hashes), with
+// the speedup over the portable slice-by-16 rung.
+void print_crc32_summary() {
+  constexpr std::size_t kN = 64 * 1024;
+  AlignedBuffer buf(kN);
+  Rng rng(13);
+  fill_random(buf.data(), kN, rng);
+  const std::span<const std::uint8_t> data(buf.data(), kN);
+  using Fn = std::uint32_t (*)(std::span<const std::uint8_t>,
+                               std::uint32_t) noexcept;
+  std::vector<std::pair<const char*, Fn>> rungs = {
+      {"slice16", &detail::crc32_slice16}};
+  if (detail::crc32_clmul_supported()) {
+    rungs.emplace_back("clmul", &detail::crc32_clmul);
+  }
+  bench::print_header(
+      "crc32 throughput by rung (GiB/s + bytes/cycle, 64 KiB buffers)");
+  bench::print_row({"rung", "crc32", "crc32_B/c", "vs_slice16"});
+  double portable = -1;
+  volatile std::uint32_t sink = 0;
+  for (const auto& [name, fn] : rungs) {
+    const auto op = [&, fn = fn] { sink = sink ^ fn(data, 0); };
+    const double gib = gib_per_sec(op, kN);
+    if (portable < 0) portable = gib;
+    bench::print_row({name, bench::fmt(gib, 2),
+                      bench::fmt(bytes_per_cycle(op, kN), 2),
+                      portable > 0 ? bench::fmt(gib / portable, 2) + "x"
+                                   : "/"});
+  }
+}
+
 }  // namespace
 
 // Expanded BENCHMARK_MAIN(): strips the harness's own flags (--json[=path],
@@ -368,16 +403,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Record which backend APPROX_KERNEL/CPUID dispatch actually picked, so
-  // the CI perf smoke can compare the dispatched row against scalar.
+  // Record which backend APPROX_KERNEL/CPUID dispatch actually picked, and
+  // which CRC-32 rung CPUID selected, so the CI perf smoke can compare each
+  // dispatched row against its portable one.
   approx::bench::bench_extra_json(
       "dispatch",
       std::string("{\"active_backend\":\"") +
           std::string(kernels::backend_name(kernels::active_backend())) +
-          "\"}");
+          "\",\"crc32_rung\":\"" + detail::crc32_rung_name() + "\"}");
 
   print_backend_summary();
   print_schedule_summary();
+  print_crc32_summary();
   if (!summary_only) {
     register_kernel_benchmarks();
     benchmark::Initialize(&argc, argv);

@@ -1,92 +1,74 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) for bitstream integrity checks.
+//
+// crc32() runs one of two implementations ("rungs"), picked once per
+// process from CPUID: PCLMULQDQ folding (crc32_clmul.cpp) when the CPU has
+// PCLMULQDQ and SSE4.1, else table-driven slice-by-16 (crc32.cpp).  Both
+// compute the same value; the folding rung hands inputs shorter than 64
+// bytes and its sub-16-byte tail to slice-by-16.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 
 namespace approx {
 
-namespace detail {
-
-inline const std::array<std::uint32_t, 256>& crc32_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int b = 0; b < 8; ++b) {
-        c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
-}  // namespace detail
-
-inline std::uint32_t crc32(std::span<const std::uint8_t> data,
-                           std::uint32_t seed = 0) {
-  const auto& table = detail::crc32_table();
-  std::uint32_t c = seed ^ 0xffffffffu;
-  for (const std::uint8_t byte : data) {
-    c = table[(c ^ byte) & 0xffu] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
-}
-
-namespace detail {
-
-// Multiply the GF(2) operator matrix `mat` (32 column vectors) by `vec`.
-inline std::uint32_t gf2_matrix_times(const std::array<std::uint32_t, 32>& mat,
-                                      std::uint32_t vec) {
-  std::uint32_t sum = 0;
-  for (int i = 0; vec != 0; ++i, vec >>= 1) {
-    if (vec & 1u) sum ^= mat[static_cast<std::size_t>(i)];
-  }
-  return sum;
-}
-
-inline void gf2_matrix_square(std::array<std::uint32_t, 32>& square,
-                              const std::array<std::uint32_t, 32>& mat) {
-  for (std::size_t n = 0; n < 32; ++n) {
-    square[n] = gf2_matrix_times(mat, mat[n]);
-  }
-}
-
-}  // namespace detail
+// CRC of `data`; `seed` is the CRC of the bytes before it, so
+// crc32(B, crc32(A)) == crc32(A||B).
+std::uint32_t crc32(std::span<const std::uint8_t> data,
+                    std::uint32_t seed = 0);
 
 // CRC of the concatenation A||B given crc32(A), crc32(B) and len(B),
-// without re-reading any bytes: appending len_b zero bytes to A is a
-// linear operator over GF(2), applied to crc_a by square-and-multiply
-// (zlib's crc32_combine construction).  Lets streaming pipelines keep
-// independent running CRCs per region and stitch them afterwards.
-inline std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                                   std::uint64_t len_b) {
-  if (len_b == 0) return crc_a;
-  std::array<std::uint32_t, 32> even{};  // operator for 2^k zero bytes
-  std::array<std::uint32_t, 32> odd{};
-  odd[0] = 0xedb88320u;  // CRC-32 polynomial, reflected
-  std::uint32_t row = 1;
-  for (std::size_t n = 1; n < 32; ++n) {
-    odd[n] = row;
-    row <<= 1;
+// without re-reading any bytes: crc(A||B) = crc(A) * x^(8*len_b) mod P
+// xor crc(B), computed in the reflected domain.  Lets streaming pipelines
+// keep independent running CRCs per region and stitch them afterwards.
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b);
+
+namespace detail {
+
+// GF(2) arithmetic modulo P = x^32 + x^26 + ... + 1 (0x104C11DB7).  Values
+// are reflected 32-bit polynomials: bit 31 holds x^0, bit 0 holds x^31.
+inline constexpr std::uint32_t kCrc32PolyReflected = 0xedb88320u;
+
+constexpr std::uint32_t gf2_mulmod(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t bit = 1u << 31; bit != 0; bit >>= 1) {
+    if (a & bit) product ^= b;
+    b = (b >> 1) ^ ((b & 1u) ? kCrc32PolyReflected : 0u);  // b *= x
   }
-  detail::gf2_matrix_square(even, odd);  // two zero bits
-  detail::gf2_matrix_square(odd, even);  // four zero bits
-  // Apply len_b zero bytes to crc_a, one squaring per bit of len_b.
-  do {
-    detail::gf2_matrix_square(even, odd);
-    if (len_b & 1u) crc_a = detail::gf2_matrix_times(even, crc_a);
-    len_b >>= 1;
-    if (len_b == 0) break;
-    detail::gf2_matrix_square(odd, even);
-    if (len_b & 1u) crc_a = detail::gf2_matrix_times(odd, crc_a);
-    len_b >>= 1;
-  } while (len_b != 0);
-  return crc_a ^ crc_b;
+  return product;
 }
+
+// x^(n * 2^shift) mod P, reflected, by square-and-multiply.  The shift
+// lets callers raise x^8 (one byte) to a 64-bit byte count without
+// overflowing the exponent.
+constexpr std::uint32_t xpow_mod_p(std::uint64_t n, unsigned shift = 0) {
+  std::uint32_t base = 1u << 30;  // x
+  for (unsigned i = 0; i < shift; ++i) base = gf2_mulmod(base, base);
+  std::uint32_t result = 1u << 31;  // 1
+  for (; n != 0; n >>= 1) {
+    if (n & 1u) result = gf2_mulmod(result, base);
+    base = gf2_mulmod(base, base);
+  }
+  return result;
+}
+
+// The two rungs behind crc32(), for differential tests and benches.  Each
+// returns exactly crc32(data, seed).
+std::uint32_t crc32_slice16(std::span<const std::uint8_t> data,
+                            std::uint32_t seed = 0) noexcept;
+// Call only when crc32_clmul_supported().
+std::uint32_t crc32_clmul(std::span<const std::uint8_t> data,
+                          std::uint32_t seed = 0) noexcept;
+
+// Whether crc32_clmul.cpp was built with -mpclmul -msse4.1.
+bool crc32_clmul_compiled() noexcept;
+// Compiled in, and the CPU has PCLMULQDQ and SSE4.1.
+bool crc32_clmul_supported() noexcept;
+// The rung crc32() runs on this host: "clmul" or "slice16".
+const char* crc32_rung_name() noexcept;
+
+}  // namespace detail
 
 }  // namespace approx

@@ -6,6 +6,8 @@
 // through return values, never exceptions.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <source_location>
 #include <stdexcept>
 #include <string>
@@ -19,10 +21,19 @@ class Error : public std::runtime_error {
 };
 
 // A caller violated a documented precondition (bad k/r/g/h, misaligned
-// buffer sizes, out-of-range node index, ...).
+// buffer sizes, out-of-range node index, ...).  what() carries the source
+// location and failed expression for developers; reason() is the bare
+// message, which is what a usage error shows an end user.
 class InvalidArgument : public Error {
  public:
-  explicit InvalidArgument(const std::string& what) : Error(what) {}
+  // `reason_at` is where the bare message starts within `what`.
+  explicit InvalidArgument(const std::string& what, std::size_t reason_at = 0)
+      : Error(what), reason_at_(std::min(reason_at, what.size())) {}
+
+  const char* reason() const noexcept { return what() + reason_at_; }
+
+ private:
+  std::size_t reason_at_;
 };
 
 // Internal invariant failed; indicates a bug in approxcode itself.
@@ -35,9 +46,10 @@ namespace detail {
 
 [[noreturn]] inline void throw_invalid_argument(
     const char* expr, const std::string& msg, const std::source_location& loc) {
-  throw InvalidArgument(std::string(loc.file_name()) + ":" +
-                        std::to_string(loc.line()) + ": requirement (" + expr +
-                        ") failed: " + msg);
+  const std::string what = std::string(loc.file_name()) + ":" +
+                           std::to_string(loc.line()) + ": requirement (" +
+                           expr + ") failed: " + msg;
+  throw InvalidArgument(what, what.size() - msg.size());
 }
 
 [[noreturn]] inline void throw_internal(

@@ -372,21 +372,16 @@ RepairReport ApproximateCode::plan_repair(std::span<const int> erased,
         }
       }
     }
-    if (out.kind == StripeOutcome::Kind::ImportantOnlyRepair &&
-        params_.structure == Structure::Even) {
-      report.fully_recovered = false;
-    }
-    if (out.kind == StripeOutcome::Kind::Unrecoverable) {
-      report.fully_recovered = false;
-    }
-
     // Stripes left with zero-filled holes get their local parities
     // recomputed over the lost range so the stripe remains self-consistent
-    // (a production repair must not leave stale parity behind).
+    // (a production repair must not leave stale parity behind).  An Even
+    // important-only repair leaves none when the unimportant range is
+    // empty (h = 1): the virtual plan then rebuilds every byte.
     const bool holes =
         (out.kind == StripeOutcome::Kind::ImportantOnlyRepair &&
-         params_.structure == Structure::Even) ||
+         params_.structure == Structure::Even && unimp_node_bytes != 0) ||
         out.kind == StripeOutcome::Kind::Unrecoverable;
+    if (holes) report.fully_recovered = false;
     if (holes && options.normalize_parity) {
       const bool full_range =
           out.kind == StripeOutcome::Kind::Unrecoverable ||

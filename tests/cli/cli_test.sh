@@ -95,6 +95,15 @@ rm volh1/node_000.acb volh1/node_005.acb volh1/node_006.acb
 "$CLI" scrub volh1 || fail "h=1 scrub after repair"
 "$CLI" decode volh1 h1_repaired.bin || fail "h=1 decode after repair"
 cmp -s input.bin h1_repaired.bin || fail "h=1 repaired roundtrip differs"
+# Three losses in the one local stripe exceed r and need the global parity;
+# with no unimportant tier that is still a full restore.
+rm volh1/node_000.acb volh1/node_001.acb volh1/node_004.acb
+out=$("$CLI" repair volh1) || fail "h=1 repair beyond local tolerance"
+echo "$out" | grep -q 'volume fully restored' \
+    || fail "h=1 repair beyond local tolerance not reported as a full restore"
+"$CLI" scrub volh1 || fail "h=1 scrub after global repair"
+"$CLI" decode volh1 h1_global.bin || fail "h=1 decode after global repair"
+cmp -s input.bin h1_global.bin || fail "h=1 global-repair roundtrip differs"
 # Unimportant bytes have no capacity under h = 1: a split below the file
 # size is refused up front instead of silently dropping the rest.
 rc=0; "$CLI" encode --family rs --k 4 --r 2 --g 1 --h 1 --split 1000 \
@@ -103,9 +112,14 @@ rc=0; "$CLI" encode --family rs --k 4 --r 2 --g 1 --h 1 --split 1000 \
 [ ! -e volh1s/manifest.txt ] || fail "refused h=1 split still committed a volume"
 
 # --- bad code parameters are usage errors ------------------------------------
+# The message names the reason only: no source location, no C++ expression.
 for bad in "--g 0" "--k 0" "--r 2 --g 2" "--structure even --h 3 --block 4096"; do
-  rc=0; "$CLI" encode $bad input.bin volbad 2>/dev/null || rc=$?
+  rc=0; "$CLI" encode $bad input.bin volbad 2>usage.err || rc=$?
   [ "$rc" -eq 2 ] || fail "encode $bad should exit 2 (usage), got $rc"
+  grep -q '^error: ' usage.err || fail "encode $bad printed no reason"
+  if grep -q -e 'requirement (' -e '\.h:' -e '\.cpp:' usage.err; then
+    fail "encode $bad usage error leaks source details: $(head -n 1 usage.err)"
+  fi
 done
 
 # --- exit codes distinguish the failure classes ------------------------------
@@ -119,14 +133,21 @@ rc=0; "$CLI" frobnicate 2>/dev/null || rc=$?
 cmp -s input.bin traced.bin || fail "traced decode roundtrip differs"
 [ -s trace.json ] || fail "--trace-out produced no file"
 grep -q '"traceEvents"' trace.json || fail "trace file missing traceEvents"
-grep -q 'cli.decode' trace.json || fail "trace file missing cli root span"
-# The export is one JSON document and the CLI root span ties the request
-# into a single trace tree (one span with parent 0 per trace id).
+# Under APPROX_OBS_OFF (set by ctest for that build) spans compile to
+# no-ops: the export must still be one valid document, with no spans.
+# Otherwise the CLI root span ties the request into a single trace tree
+# (one span with parent 0 per trace id).
+if [ -z "$APPROX_OBS_OFF" ]; then
+  grep -q 'cli.decode' trace.json || fail "trace file missing cli root span"
+fi
 if command -v python3 >/dev/null 2>&1; then
   python3 - trace.json <<'EOF' || fail "trace file is not a single well-formed tree"
-import json, sys
+import json, os, sys
 doc = json.load(open(sys.argv[1]))
 events = doc["traceEvents"]
+if os.environ.get("APPROX_OBS_OFF"):
+    assert events == [], "spans recorded with spans compiled out"
+    sys.exit(0)
 assert events, "no spans recorded"
 traces = {}
 for e in events:

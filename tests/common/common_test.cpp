@@ -2,13 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/buffer.h"
 #include "common/crc32.h"
 #include "common/error.h"
 #include "common/prng.h"
 #include "common/stopwatch.h"
+#include "../support/crc32_reference.h"
 
 namespace approx {
 namespace {
@@ -154,6 +159,33 @@ TEST(Rng, ZeroSeedIsWellMixed) {
 // CRC-32
 // ---------------------------------------------------------------------------
 
+// First in the suite on purpose: run alone (as ctest and the TSan job run
+// it), these threads are the process's first crc32() callers and race the
+// one-time rung selection.
+TEST(Crc32, ConcurrentFirstCallsAgree) {
+  std::vector<std::uint8_t> data(4096 + 5);
+  Rng rng(31);
+  fill_random(data.data(), data.size(), rng);
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::uint32_t> got(kThreads);
+  std::vector<std::string> rung(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = crc32(data);
+      rung[static_cast<std::size_t>(t)] = detail::crc32_rung_name();
+    });
+  }
+  for (auto& th : threads) th.join();
+  const std::uint32_t want = testsupport::crc32_bitwise(data);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)], want) << "thread " << t;
+    EXPECT_EQ(rung[static_cast<std::size_t>(t)], rung[0]) << "thread " << t;
+  }
+}
+
 TEST(Crc32, KnownVectors) {
   // IEEE CRC-32 of "123456789" is 0xCBF43926.
   const std::uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
@@ -178,6 +210,85 @@ TEST(Crc32, DetectsSingleBitFlips) {
   EXPECT_EQ(crc32(data), base);
 }
 
+using Crc32Fn = std::uint32_t (*)(std::span<const std::uint8_t>,
+                                  std::uint32_t) noexcept;
+
+// One rung against the bitwise oracle: every length 0..1100 at every
+// alignment 0..16, for several data and CRC seeds, plus 64 KiB and one
+// chunk block with its 8-byte footer.  The oracle runs incrementally (one
+// byte per length step), so only the rung under test pays per length.
+void expect_rung_matches_oracle(Crc32Fn rung) {
+  constexpr std::size_t kMaxLen = 1100;
+  constexpr std::size_t kMaxAlign = 16;
+  std::vector<std::uint8_t> buf(kMaxLen + kMaxAlign);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    fill_random(buf.data(), buf.size(), rng);
+    const auto crc_seed = seed == 1 ? 0u : static_cast<std::uint32_t>(rng());
+    for (std::size_t align = 0; align <= kMaxAlign; ++align) {
+      const std::uint8_t* p = buf.data() + align;
+      std::uint32_t want = crc_seed;  // oracle CRC of p[0, len)
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        ASSERT_EQ(rung({p, len}, crc_seed), want)
+            << "seed " << seed << " align " << align << " len " << len;
+        if (len < kMaxLen) {
+          want = testsupport::crc32_bitwise({p + len, 1}, want);
+        }
+      }
+    }
+  }
+  std::vector<std::uint8_t> block(64 * 1024 + 8 + 1);
+  Rng rng(4);
+  fill_random(block.data(), block.size(), rng);
+  for (const std::size_t len : {std::size_t{64 * 1024},
+                                std::size_t{64 * 1024 + 8}}) {
+    for (const std::size_t align : {std::size_t{0}, std::size_t{1}}) {
+      const std::span<const std::uint8_t> s(block.data() + align, len);
+      EXPECT_EQ(rung(s, 0), testsupport::crc32_bitwise(s))
+          << "len " << len << " align " << align;
+    }
+  }
+}
+
+TEST(Crc32, Slice16MatchesBitwiseOracle) {
+  expect_rung_matches_oracle(&detail::crc32_slice16);
+}
+
+TEST(Crc32, ClmulMatchesBitwiseOracle) {
+  if (!detail::crc32_clmul_supported()) {
+    GTEST_SKIP() << (detail::crc32_clmul_compiled()
+                         ? "CPU lacks PCLMULQDQ or SSE4.1"
+                         : "compiler lacks -mpclmul -msse4.1");
+  }
+  expect_rung_matches_oracle(&detail::crc32_clmul);
+}
+
+TEST(Crc32, SelectsFoldingRungWhenSupported) {
+  EXPECT_STREQ(detail::crc32_rung_name(),
+               detail::crc32_clmul_supported() ? "clmul" : "slice16");
+}
+
+// The store's stream CRCs continue a running CRC across stripes:
+// crc32(B, crc32(A)) must equal crc32(A||B) on every rung, wherever the
+// split falls relative to the 16- and 64-byte steps.
+TEST(Crc32, SeedChainsAcrossSplits) {
+  std::vector<std::uint8_t> data(3000);
+  Rng rng(9);
+  fill_random(data.data(), data.size(), rng);
+  const std::span<const std::uint8_t> all(data);
+  std::vector<Crc32Fn> rungs = {&detail::crc32_slice16};
+  if (detail::crc32_clmul_supported()) rungs.push_back(&detail::crc32_clmul);
+  for (const std::size_t split :
+       {0u, 1u, 15u, 16u, 63u, 64u, 65u, 127u, 1000u, 2999u, 3000u}) {
+    const auto a = all.subspan(0, split);
+    const auto b = all.subspan(split);
+    EXPECT_EQ(crc32(b, crc32(a)), crc32(all)) << "split " << split;
+    for (const Crc32Fn rung : rungs) {
+      EXPECT_EQ(rung(b, rung(a, 0)), crc32(all)) << "split " << split;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Error machinery
 // ---------------------------------------------------------------------------
@@ -190,6 +301,7 @@ TEST(Errors, RequireThrowsWithLocation) {
     const std::string what = e.what();
     EXPECT_NE(what.find("math is broken"), std::string::npos);
     EXPECT_NE(what.find("common_test.cpp"), std::string::npos);
+    EXPECT_STREQ(e.reason(), "math is broken");
   }
 }
 

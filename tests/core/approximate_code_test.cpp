@@ -211,6 +211,26 @@ const Config kConfigs[] = {
 INSTANTIATE_TEST_SUITE_P(AllFamilies, ApprCodeTest, testing::ValuesIn(kConfigs),
                          config_name);
 
+// With h = 1 every byte is important, so a failure pattern that needs the
+// virtual (global) plan still restores the whole volume: no holes, no
+// parity normalization, and a report that says so.
+TEST(ApprCodeH1, ImportantOnlyRepairIsAFullRestore) {
+  const ApprParams p{Family::RS, 4, 2, 1, 1, Structure::Even};
+  Fixture fx(p);
+  ASSERT_EQ(fx.code.unimportant_capacity(), 0u);
+  const std::vector<int> erased = {0, 1, 4};
+  const RepairReport plan = fx.code.plan_repair(erased);
+  EXPECT_TRUE(plan.fully_recovered);
+  EXPECT_TRUE(plan.normalize_stripes.empty());
+  EXPECT_EQ(plan.unimportant_data_bytes_lost, 0u);
+  const RepairReport report = fx.wipe_and_repair(erased);
+  EXPECT_TRUE(report.fully_recovered);
+  EXPECT_TRUE(report.normalize_stripes.empty());
+  for (int n = 0; n < fx.code.total_nodes(); ++n) {
+    EXPECT_TRUE(fx.node_matches(n)) << "node " << n;
+  }
+}
+
 // Exhaustive unequal-protection sweep on a small instance: for EVERY double
 // failure pattern, important data must be recoverable; for every single
 // pattern, everything must be.

@@ -239,6 +239,12 @@ TEST_F(ClusterTest, CrossNodeDegradedReadIsOneConnectedTraceTree) {
   const auto events = obs::SpanLog::snapshot();
   obs::SpanLog::clear();
 
+#ifdef APPROX_OBS_OFF
+  // Spans compile to no-ops: the degraded read still succeeds across the
+  // cluster and records nothing.
+  (void)root_trace;
+  EXPECT_TRUE(events.empty());
+#else
   // Every span of the degraded read — client-side rpc spans AND the
   // daemon/coordinator-side serve spans — carries the root's trace id.
   std::map<std::uint64_t, std::uint64_t> parent_of;  // span -> parent
@@ -265,6 +271,7 @@ TEST_F(ClusterTest, CrossNodeDegradedReadIsOneConnectedTraceTree) {
       cur = parent_of[cur];
     }
   }
+#endif
 }
 
 TEST_F(ClusterTest, ScrubFansOutAndFlagsCorruption) {

@@ -191,7 +191,7 @@ int cmd_encode(const Options& opts, const fs::path& input, const fs::path& dir) 
                   code.params().total_data_nodes());
   return 0;
 } catch (const InvalidArgument& e) {
-  usage(e.what());
+  usage(e.reason());
 }
 
 int cmd_info(const fs::path& dir) {
@@ -487,7 +487,7 @@ int cmd_put(const RemoteOptions& remote, const Options& codec,
     return kExitOk;
   });
 } catch (const InvalidArgument& e) {
-  usage(e.what());
+  usage(e.reason());
 }
 
 int cmd_get(const RemoteOptions& remote, const std::string& volume,
@@ -634,7 +634,7 @@ std::vector<std::string> parse_codec_options(
   try {
     opts.params.validate(opts.block);
   } catch (const InvalidArgument& e) {
-    usage(e.what());
+    usage(e.reason());
   }
   return positional;
 }
